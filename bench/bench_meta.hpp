@@ -2,7 +2,8 @@
 // git SHA, build flags, and the box's hardware_concurrency. Without it a
 // bench trajectory across commits/boxes is unattributable — a regression
 // report cannot say whether the code or the machine changed.
-// check_regression.py ignores the key entirely.
+// check_regression.py never gates on it, but prints a WARNING when the
+// baseline and fresh runs differ in build flags or core count.
 //
 // The SHA/flags themselves live in obs/build_info.hpp (header-only
 // accessors over top-level configure-time definitions), shared with the

@@ -27,6 +27,12 @@ tolerance band fails; improvements are reported and pass. Keys present in
 only one file are reported but never fail the check, so adding or removing
 a benchmark does not require touching this script.
 
+Each report's ``meta`` provenance block (git SHA, build flags, core count)
+never makes two reports incomparable, but a baseline and a fresh run that
+differ in ``hardware_concurrency`` or ``build_flags`` print a loud
+``WARNING`` line first: the gate still applies at full strictness, and the
+warning says why its numbers may not be like for like.
+
 Multi-worker throughput gates are *skipped* (not failed) when either run
 was under-provisioned — the sweep point uses more workers than the box has
 cores (``hardware_concurrency`` in the report). A 1-core container cannot
@@ -154,8 +160,8 @@ def serve_points(report):
     """Yield (key, e2e p95) for every sweep point in a serve report."""
     for point in report.get("closed_loop", []):
         key = (
-            f"closed_loop[workers={point.get('workers')},"
-            f"window_ms={point.get('window_ms')}].e2e_latency_us.p95"
+            f"closed_loop[workers={point.get('workers')}]"
+            ".e2e_latency_us.p95"
         )
         yield key, point.get("e2e_latency_us", {}).get("p95")
     for point in report.get("open_loop", []):
@@ -176,8 +182,8 @@ def serve_throughput_points(report):
     """
     for point in report.get("closed_loop", []):
         key = (
-            f"closed_loop[workers={point.get('workers')},"
-            f"window_ms={point.get('window_ms')}].speedup_vs_sequential"
+            f"closed_loop[workers={point.get('workers')}]"
+            ".speedup_vs_sequential"
         )
         yield key, point.get("speedup_vs_sequential"), point.get("workers") or 0
 
@@ -305,6 +311,28 @@ def check_http(baseline, fresh, tolerance):
     return comparison.report("http")
 
 
+PROVENANCE_KEYS = ("hardware_concurrency", "build_flags")
+
+
+def warn_on_provenance_mismatch(baseline, fresh):
+    """Print a WARNING per provenance key that differs between the runs.
+
+    Never changes the verdict: a mismatch explains a delta, it does not
+    excuse one.
+    """
+    base_meta = baseline.get("meta") or {}
+    fresh_meta = fresh.get("meta") or {}
+    for key in PROVENANCE_KEYS:
+        base_value = base_meta.get(key)
+        fresh_value = fresh_meta.get(key)
+        if base_value != fresh_value:
+            print(
+                f"WARNING: provenance mismatch on meta.{key}: baseline "
+                f"{base_value!r} vs fresh {fresh_value!r} — the numbers "
+                "below compare different boxes or builds"
+            )
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -323,8 +351,10 @@ def main():
 
     baseline = load(options.baseline)
     fresh = load(options.fresh)
-    # The "meta" provenance block (git SHA, build flags, core count) is
-    # informational only — it must never make two reports incomparable.
+    # The "meta" provenance block (git SHA, build flags, core count) must
+    # never make two reports incomparable, but a mismatch is announced.
+    if isinstance(baseline, dict) and isinstance(fresh, dict):
+        warn_on_provenance_mismatch(baseline, fresh)
     for report in (baseline, fresh):
         if isinstance(report, dict):
             report.pop("meta", None)

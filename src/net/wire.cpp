@@ -1,7 +1,6 @@
 #include "net/wire.hpp"
 
 #include <charconv>
-#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -33,6 +32,14 @@ void skip_ws(std::string_view body, std::size_t& pos) noexcept {
 BodyParseResult fail(std::string error) {
   BodyParseResult result;
   result.error = std::move(error);
+  return result;
+}
+
+/// Both decoders' last step: parsed rows must also be in the count domain.
+BodyParseResult validated(math::Matrix rows) {
+  BodyParseResult result = fail(serve::count_domain_error(rows));
+  result.ok = result.error.empty();
+  if (result.ok) result.rows = std::move(rows);
   return result;
 }
 
@@ -71,8 +78,8 @@ BodyParseResult parse_json_rows(std::string_view body,
                                        body.data() + body.size(), value);
       if (res.ec != std::errc() || res.ptr == body.data() + pos)
         return fail("expected a number in row " + std::to_string(rows));
-      if (!std::isfinite(value))
-        return fail("non-finite value in row " + std::to_string(rows));
+      // Narrowed here, checked against the count domain below: 1e39 is a
+      // finite double but an infinite float.
       values.push_back(static_cast<float>(value));
       ++cols;
       pos = static_cast<std::size_t>(res.ptr - body.data());
@@ -110,12 +117,9 @@ BodyParseResult parse_json_rows(std::string_view body,
   skip_ws(body, pos);
   if (pos != body.size()) return fail("trailing bytes after rows array");
 
-  BodyParseResult result;
-  result.ok = true;
-  result.rows = math::Matrix(rows, expected_cols);
-  std::memcpy(result.rows.data(), values.data(),
-              values.size() * sizeof(float));
-  return result;
+  math::Matrix matrix(rows, expected_cols);
+  std::memcpy(matrix.data(), values.data(), values.size() * sizeof(float));
+  return validated(std::move(matrix));
 }
 
 BodyParseResult parse_binary_rows(std::string_view body,
@@ -138,11 +142,9 @@ BodyParseResult parse_binary_rows(std::string_view body,
     return fail("binary body is " + std::to_string(body.size()) +
                 " bytes, expected " + std::to_string(12 + payload));
 
-  BodyParseResult result;
-  result.ok = true;
-  result.rows = math::Matrix(rows, cols);
-  std::memcpy(result.rows.data(), body.data() + 12, payload);
-  return result;
+  math::Matrix matrix(rows, cols);
+  std::memcpy(matrix.data(), body.data() + 12, payload);
+  return validated(std::move(matrix));
 }
 
 std::string encode_binary_rows(const math::Matrix& rows) {

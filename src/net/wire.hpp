@@ -2,8 +2,7 @@
 //
 //   application/json        [[f, f, ...], [f, f, ...], ...]
 //                           one inner array per row, expected_cols floats
-//                           each; strict — no objects, no strings, no
-//                           non-finite values.
+//                           each; strict — no objects, no strings.
 //
 //   application/x-mev-rows  compact length-prefixed binary (all integers
 //                           and floats little-endian):
@@ -13,6 +12,9 @@
 //                             f32 payload[rows*cols], row-major
 //                           total size must be exactly 12 + rows*cols*4 —
 //                           trailing bytes are an error, not padding.
+//
+// Both decoders end in serve::count_domain_error: every count, narrowed
+// to float, must be finite and >= 0, else 400 naming the row and reason.
 //
 // Responses are JSON either way:
 //   200  {"model_version":N,"verdicts":[{"malware":b,"confidence":c},..]}
@@ -44,7 +46,8 @@ struct BodyParseResult {
 };
 
 /// Strict JSON array-of-rows; every row must have exactly expected_cols
-/// finite numbers. `max_rows` bounds the accepted row count (0 = no cap).
+/// numbers, each a finite, non-negative float. `max_rows` bounds the
+/// accepted row count (0 = no cap).
 BodyParseResult parse_json_rows(std::string_view body,
                                 std::size_t expected_cols,
                                 std::size_t max_rows = 0);

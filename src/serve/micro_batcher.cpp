@@ -1,13 +1,13 @@
 #include "serve/micro_batcher.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 namespace mev::serve {
 
-MicroBatcher::MicroBatcher(BatcherConfig config) : config_(config) {
-  if (config_.max_batch_rows == 0)
+MicroBatcher::MicroBatcher(std::size_t max_batch_rows)
+    : max_batch_rows_(max_batch_rows) {
+  if (max_batch_rows_ == 0)
     throw std::invalid_argument("MicroBatcher: max_batch_rows must be > 0");
 }
 
@@ -31,41 +31,23 @@ void MicroBatcher::take_expired(std::uint64_t now_ms,
   }
 }
 
-std::optional<Batch> MicroBatcher::poll(std::uint64_t now_ms, bool force) {
+std::optional<Batch> MicroBatcher::poll() {
   if (pending_.empty()) return std::nullopt;
-  const std::uint64_t waited = now_ms - pending_.front().enqueue_ms;
-  const bool full = pending_rows_ >= config_.max_batch_rows;
-  if (!force && !full && waited < config_.max_queue_delay_ms)
-    return std::nullopt;
-
   Batch batch;
   while (!pending_.empty()) {
     const std::size_t next_rows = pending_.front().counts.rows();
     // Whole requests only; always take at least one so an oversized
     // request still makes progress (as its own batch).
     if (!batch.requests.empty() &&
-        batch.rows + next_rows > config_.max_batch_rows)
+        batch.rows + next_rows > max_batch_rows_)
       break;
     batch.rows += next_rows;
     pending_rows_ -= next_rows;
     batch.requests.push_back(std::move(pending_.front()));
     pending_.pop_front();
-    if (batch.rows >= config_.max_batch_rows) break;
+    if (batch.rows >= max_batch_rows_) break;
   }
   return batch;
-}
-
-std::optional<std::uint64_t> MicroBatcher::ms_until_flush(
-    std::uint64_t now_ms) const {
-  if (pending_.empty()) return std::nullopt;
-  if (pending_rows_ >= config_.max_batch_rows) return 0;
-  std::uint64_t due =
-      pending_.front().enqueue_ms + config_.max_queue_delay_ms;
-  // A deadline can fall before the flush point; waking for it keeps
-  // deadline rejections timely instead of batched with the next flush.
-  for (const auto& request : pending_)
-    if (request.deadline_ms != 0) due = std::min(due, request.deadline_ms);
-  return due <= now_ms ? 0 : due - now_ms;
 }
 
 }  // namespace mev::serve

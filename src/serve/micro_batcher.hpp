@@ -1,9 +1,9 @@
-// Dynamic micro-batching policy: coalesce queued requests into batches of
-// up to `max_batch_rows` rows, but never hold a request longer than
-// `max_queue_delay_ms` waiting for co-riders. All timing flows through
-// caller-supplied clock readings, so the policy is a plain single-threaded
-// state machine — unit-testable with runtime::FakeClock and shared by the
-// real worker pool and the manual pump() mode.
+// Natural micro-batching: a worker that becomes free takes whatever is
+// pending — whole requests, FIFO, up to `max_batch_rows` rows — and
+// scores it in one call. Nothing waits for co-riders; batches grow with
+// load on their own because requests pile up while the worker is busy.
+// A plain single-threaded container, shared by the real worker pool and
+// the manual pump() mode.
 #pragma once
 
 #include <cstddef>
@@ -16,16 +16,6 @@
 
 namespace mev::serve {
 
-struct BatcherConfig {
-  /// Flush as soon as pending rows reach this many. A single request
-  /// larger than the cap forms its own (oversized) batch — requests are
-  /// never split across batches.
-  std::size_t max_batch_rows = 64;
-  /// Flush a partial batch once the oldest pending request has waited
-  /// this long (0 = flush immediately, i.e. no coalescing delay).
-  std::uint64_t max_queue_delay_ms = 2;
-};
-
 /// A formed batch: whole requests, FIFO order.
 struct Batch {
   std::vector<Request> requests;
@@ -34,12 +24,13 @@ struct Batch {
 
 class MicroBatcher {
  public:
-  explicit MicroBatcher(BatcherConfig config);
+  /// `max_batch_rows` caps one batch. A single request larger than the
+  /// cap forms its own (oversized) batch — requests are never split.
+  explicit MicroBatcher(std::size_t max_batch_rows);
 
   /// Enqueues a request (FIFO). The caller has already admission-checked.
   void add(Request request);
 
-  std::size_t pending_requests() const noexcept { return pending_.size(); }
   std::size_t pending_rows() const noexcept { return pending_rows_; }
   bool empty() const noexcept { return pending_.empty(); }
 
@@ -47,22 +38,14 @@ class MicroBatcher {
   /// (FIFO order). The service fails these with RejectReason::kDeadline.
   void take_expired(std::uint64_t now_ms, std::vector<Request>& expired);
 
-  /// Forms the next batch if the flush condition holds: pending rows
-  /// >= max_batch_rows, the oldest request has waited >= max_queue_delay,
-  /// or `force` (drain/shutdown). Returns std::nullopt otherwise.
+  /// Forms the next batch from the front of the queue: whole requests up
+  /// to max_batch_rows rows (always at least one, so an oversized request
+  /// still makes progress). std::nullopt only when nothing is pending.
   /// take_expired() should run first so expired requests are not scored.
-  std::optional<Batch> poll(std::uint64_t now_ms, bool force = false);
-
-  /// Milliseconds until the next action is due — the oldest pending
-  /// request hitting max_queue_delay or the earliest per-request deadline
-  /// (0 when already due); std::nullopt when nothing is pending. Drives
-  /// the worker's timed wait.
-  std::optional<std::uint64_t> ms_until_flush(std::uint64_t now_ms) const;
-
-  const BatcherConfig& config() const noexcept { return config_; }
+  std::optional<Batch> poll();
 
  private:
-  BatcherConfig config_;
+  std::size_t max_batch_rows_;
   std::deque<Request> pending_;
   std::size_t pending_rows_ = 0;
 };

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/detector.hpp"
@@ -83,6 +84,12 @@ struct ScoreResult {
   bool ok() const noexcept { return rejected == RejectReason::kNone; }
 };
 
+/// The count domain every ingress path enforces — both wire decoders and
+/// ScoringService::submit: API-call counts are finite and non-negative,
+/// as in the paper's add-only feature space. Returns "" when every value
+/// of `counts` is in the domain, else a reason naming the first bad row.
+std::string count_domain_error(const math::Matrix& counts);
+
 /// Per-submission options.
 struct SubmitOptions {
   /// Relative deadline in milliseconds measured from submission on the
@@ -130,7 +137,6 @@ struct Request {
   ScoreCallback callback = nullptr;
   void* callback_ctx = nullptr;
   std::uint64_t enqueue_us = 0;   // clock->now_us() at submit (histograms)
-  std::uint64_t enqueue_ms = 0;   // clock->now_ms() at submit (batch delay)
   std::uint64_t deadline_ms = 0;  // absolute clock ms; 0 = none
   obs::TraceContext trace;        // copied from SubmitOptions; may be invalid
 

@@ -129,11 +129,10 @@ ScoringService::ScoringService(features::FeaturePipeline pipeline,
 
   arena_ = std::make_shared<CompletionArena>();
 
-  const BatcherConfig batcher_config{config_.max_batch_rows,
-                                     config_.max_queue_delay_ms};
   worker_states_.reserve(std::max<std::size_t>(config_.workers, 1));
   for (std::size_t i = 0; i < std::max<std::size_t>(config_.workers, 1); ++i)
-    worker_states_.push_back(std::make_unique<WorkerState>(batcher_config));
+    worker_states_.push_back(
+        std::make_unique<WorkerState>(config_.max_batch_rows));
 
   WatchdogConfig watchdog_config = config_.watchdog;
   if (watchdog_config.clock == nullptr) watchdog_config.clock = clock_;
@@ -207,14 +206,23 @@ ScoringService::current_snapshot() const {
   return snapshot_;
 }
 
+void ScoringService::check_counts(const math::Matrix& counts,
+                                  const char* caller) const {
+  if (counts.rows() == 0) return;
+  const std::string error =
+      counts.cols() != count_cols_
+          ? "count rows have " + std::to_string(counts.cols()) +
+                " columns, expected " + std::to_string(count_cols_)
+          : count_domain_error(counts);
+  if (!error.empty())
+    throw std::invalid_argument(std::string("ScoringService::") + caller +
+                                ": " + error);
+}
+
 ScoreFuture ScoringService::submit(math::Matrix counts,
                                    SubmitOptions options) {
+  check_counts(counts, "submit");
   const std::size_t rows = counts.rows();
-  if (rows > 0 && counts.cols() != count_cols_)
-    throw std::invalid_argument(
-        "ScoringService::submit: count rows have " +
-        std::to_string(counts.cols()) + " columns, expected " +
-        std::to_string(count_cols_));
 
   const CompletionTicket ticket = arena_->acquire();
   ScoreFuture future(arena_, ticket);
@@ -229,12 +237,8 @@ ScoreFuture ScoringService::submit(math::Matrix counts,
 void ScoringService::submit_with_callback(math::Matrix counts,
                                           SubmitOptions options,
                                           ScoreCallback callback, void* ctx) {
+  check_counts(counts, "submit_with_callback");
   const std::size_t rows = counts.rows();
-  if (rows > 0 && counts.cols() != count_cols_)
-    throw std::invalid_argument(
-        "ScoringService::submit_with_callback: count rows have " +
-        std::to_string(counts.cols()) + " columns, expected " +
-        std::to_string(count_cols_));
 
   Request request;
   request.counts = std::move(counts);
@@ -284,15 +288,15 @@ void ScoringService::submit_request(Request request, std::size_t rows,
   // passed is rejected here — it must not consume queue capacity or a
   // batch slot it can never use.
   request.enqueue_us = clock_->now_us();
-  request.enqueue_ms = clock_->now_ms();
+  const std::uint64_t now_ms = clock_->now_ms();
   if (options.deadline_ms != 0)
-    request.deadline_ms = request.enqueue_ms + options.deadline_ms;
+    request.deadline_ms = now_ms + options.deadline_ms;
   if (options.deadline_at_ms != 0)
     request.deadline_ms = request.deadline_ms == 0
                               ? options.deadline_at_ms
                               : std::min(request.deadline_ms,
                                          options.deadline_at_ms);
-  if (request.expired(request.enqueue_ms)) {
+  if (request.expired(now_ms)) {
     inflight_submits_.fetch_sub(1, std::memory_order_seq_cst);
     counters_.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
     obs_.rejected_deadline.inc();
@@ -306,7 +310,7 @@ void ScoringService::submit_request(Request request, std::size_t rows,
   // Overload shed gate: under brownout a deterministic fraction of
   // admissions is turned away with a reason upstream retry policies treat
   // as transient (back off and come back, unlike queue_full races).
-  overload_.tick(request.enqueue_ms);
+  overload_.tick(now_ms);
   if (overload_.should_shed()) {
     inflight_submits_.fetch_sub(1, std::memory_order_seq_cst);
     counters_.rejected_overloaded.fetch_add(1, std::memory_order_relaxed);
@@ -374,9 +378,9 @@ void ScoringService::submit_request(Request request, std::size_t rows,
   obs_.accepted_requests.inc();
   obs_.accepted_rows.inc(rows);
   // Wake the shard's *owner*, not an arbitrary worker: a submitter's
-  // stream then coalesces in one batcher instead of fragmenting across
-  // whichever workers happened to wake first (each fragment would wait
-  // its own flush window — a ~2x tail-latency penalty at low load).
+  // stream then lands in one batcher and is taken in as few scan calls
+  // as possible, instead of being split across whichever workers
+  // happened to wake first.
   // Exception: an owner the watchdog has flagged stalled cannot answer a
   // wakeup — reroute to the next healthy sibling so the request is stolen
   // instead of waiting out the stall.
@@ -495,7 +499,7 @@ ScoreResult ScoringService::score(math::Matrix counts,
     // Manual-pump mode: drive the batch through ourselves.
     while (future.wait_for(std::chrono::seconds(0)) !=
            std::future_status::ready)
-      pump(/*force=*/true);
+      pump();
   }
   return future.get();
 }
@@ -666,8 +670,7 @@ bool ScoringService::all_shards_empty() const {
   return true;
 }
 
-std::size_t ScoringService::assemble_and_score(WorkerState& worker,
-                                               bool force) {
+std::size_t ScoringService::assemble_and_score(WorkerState& worker) {
   const std::uint64_t now = clock_->now_ms();
   overload_.tick(now);
   if (overload_.enabled()) {
@@ -682,11 +685,7 @@ std::size_t ScoringService::assemble_and_score(WorkerState& worker,
     count_deadline_stage(DeadlineStage::kQueue, expired.size());
     reject_all(std::move(expired), RejectReason::kDeadline, expired_rows);
   }
-  // Brownout posture: stop waiting for co-riders — flushing partial
-  // batches immediately trades batching efficiency for queue delay, which
-  // is exactly the trade overload wants.
-  std::optional<Batch> batch =
-      worker.batcher.poll(now, force || overload_.brownout());
+  std::optional<Batch> batch = worker.batcher.poll();
   if (!batch.has_value()) return 0;
   const std::size_t rows = batch->rows;
   queued_rows_.fetch_sub(rows, std::memory_order_acq_rel);
@@ -711,8 +710,7 @@ void ScoringService::worker_loop(std::size_t worker_index) {
     std::size_t scored = 0;
     try {
       moved = gather(worker_index, worker, /*steal=*/true);
-      scored =
-          assemble_and_score(worker, /*force=*/state == State::kDraining);
+      scored = assemble_and_score(worker);
     } catch (const std::exception& error) {
       // Last-resort containment (score_batch already fails its own batch
       // kInternalError): nothing may kill a worker thread. Requests the
@@ -734,10 +732,10 @@ void ScoringService::worker_loop(std::size_t worker_index) {
       // shards refilled with at least a full batch while it was scoring,
       // it is saturated — recruit one sibling to steal. Without this,
       // idle workers parked on their own signals would never learn about
-      // a hot shard's backlog. The full-batch threshold matters: a
-      // recruit that steals less flushes on its *own* delay window,
-      // re-fragmenting the stream the affinity wakeup exists to keep
-      // together.
+      // a hot shard's backlog. Below a full batch the owner takes the
+      // backlog itself on its next pass, in one scan call; a recruit
+      // would split it into two smaller batches that each pay the
+      // per-call cost.
       const std::size_t workers = worker_states_.size();
       std::uint64_t backlog_rows = 0;
       for (std::size_t s = worker_index; s < shards_.size(); s += workers)
@@ -750,17 +748,17 @@ void ScoringService::worker_loop(std::size_t worker_index) {
       }
     }
     if (moved > 0 || scored > 0) continue;
-    if (state == State::kDraining) {
-      if (worker.batcher.empty() && all_shards_empty()) return;
-      continue;  // force-flush whatever is left, then re-check
-    }
+    // Draining and an idle pass: every ring and this worker's batcher
+    // were empty. Any straggler is final_sweep()'s to resolve.
+    if (state == State::kDraining) return;
 
-    // Idle: park on this worker's eventcount. The epoch key closes the
-    // race with a submission's notify_one() landing between the re-check
-    // and the wait. The re-check spans *all* shards (not just owned ones)
-    // so a helper wakeup that raced with the gather above is not lost.
+    // Idle: park, untimed, on this worker's eventcount. The epoch key
+    // closes the race with a submission's notify_one() landing between
+    // the re-check and the wait. The re-check spans *all* shards (so a
+    // helper wakeup that raced with the gather above is not lost) and
+    // this worker's batcher (so it never parks holding work).
     const runtime::EventCount::Key key = worker.signal.prepare_wait();
-    if (!all_shards_empty() ||
+    if (!worker.batcher.empty() || !all_shards_empty() ||
         state_.load(std::memory_order_seq_cst) != State::kRunning) {
       worker.signal.cancel_wait();
       continue;
@@ -768,11 +766,7 @@ void ScoringService::worker_loop(std::size_t worker_index) {
     // Parked = healthy: the idle flag tells the watchdog a quiet worker
     // is waiting for work, not wedged in it.
     watchdog.set_idle(worker_index, true);
-    const auto wait_ms = worker.batcher.ms_until_flush(clock_->now_ms());
-    if (wait_ms.has_value())
-      worker.signal.wait_for_ms(key, std::max<std::uint64_t>(*wait_ms, 1));
-    else
-      worker.signal.wait(key);
+    worker.signal.wait(key);
     watchdog.set_idle(worker_index, false);
   }
 }
@@ -1001,12 +995,12 @@ void ScoringService::final_sweep(bool drain) {
     // rings need an outer loop: drain_shard takes at most one batch's
     // worth per pass.
     for (auto& state : worker_states_)
-      while (assemble_and_score(*state, /*force=*/true) > 0) {
+      while (assemble_and_score(*state) > 0) {
       }
     for (;;) {
       std::size_t moved = 0;
       for (auto& shard : shards_) moved += drain_shard(*shard, sweeper);
-      const std::size_t scored = assemble_and_score(sweeper, /*force=*/true);
+      const std::size_t scored = assemble_and_score(sweeper);
       if (moved == 0 && scored == 0) return;
     }
   }
@@ -1014,9 +1008,8 @@ void ScoringService::final_sweep(bool drain) {
   // Immediate stop: everything still queued is rejected, exactly once.
   std::vector<Request> orphans;
   std::size_t orphan_rows = 0;
-  const std::uint64_t now = clock_->now_ms();
   for (auto& state : worker_states_)
-    while (auto batch = state->batcher.poll(now, /*force=*/true)) {
+    while (auto batch = state->batcher.poll()) {
       orphan_rows += batch->rows;
       for (auto& request : batch->requests)
         orphans.push_back(std::move(request));
@@ -1037,15 +1030,13 @@ void ScoringService::final_sweep(bool drain) {
   reject_all(std::move(orphans), RejectReason::kShuttingDown, orphan_rows);
 }
 
-std::size_t ScoringService::pump(bool force) {
+std::size_t ScoringService::pump() {
   if (config_.workers != 0)
     throw std::logic_error(
         "ScoringService::pump: only valid in manual mode (workers == 0)");
   WorkerState& worker = *worker_states_.front();
   for (auto& shard : shards_) drain_shard(*shard, worker);
-  return assemble_and_score(
-      worker,
-      force || state_.load(std::memory_order_acquire) != State::kRunning);
+  return assemble_and_score(worker);
 }
 
 ServiceStats ScoringService::stats() const {

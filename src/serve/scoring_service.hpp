@@ -8,9 +8,10 @@
 //       completion-arena slot (future mode) or caller callback ──▶
 //       sharded bounded MPSC ring (shard = submitter-hash, spill to a
 //       neighbor when full) ──▶ EventCount wakeup (no mutex when workers
-//       are busy) ──▶ per-worker MicroBatcher assembles a batch ──▶ one
-//       pre-warmed nn::InferenceSession per worker scores it ──▶ the
-//       slot's atomic flips / the callback runs
+//       are busy) ──▶ a free worker takes whatever is queued (a natural
+//       batch of whole requests, ≤ max_batch_rows rows; nothing waits
+//       for co-riders) ──▶ one pre-warmed nn::InferenceSession per
+//       worker scores it ──▶ the slot's atomic flips / the callback runs
 //
 // There is no global queue mutex, no condition-variable broadcast per
 // submission, and no per-request heap allocation on the submit path.
@@ -41,20 +42,19 @@
 //    admission, at batch assembly, and again post-dequeue, so expired
 //    work never consumes inference. Under sustained overload a
 //    CoDel-style controller (config.overload) sheds a deterministic
-//    admission fraction (kOverloaded) and shrinks the batch window until
-//    queue delay recovers; a wedged worker is detected by the watchdog
-//    and its shards are served by siblings. See DESIGN.md §8 for the
-//    state machine and invariants.
+//    admission fraction (kOverloaded) until queue delay recovers; a
+//    wedged worker is detected by the watchdog and its shards are served
+//    by siblings. See DESIGN.md §8 for the state machine and invariants.
 //
 // Lifecycle: construct → start() → submit traffic → shutdown(). With
 // ServiceConfig::autostart (the default) the constructor calls start()
 // itself. A submission before start() fails fast with kShuttingDown —
 // it is never silently queued into a service nobody is pumping.
 //
-// All flush timing flows through an injectable runtime::Clock; with
-// workers = 0 the service runs in manual-pump mode (no threads), which
-// together with runtime::FakeClock makes every policy deterministic in
-// tests.
+// All timing (deadlines, queue delay, overload intervals) flows through an
+// injectable runtime::Clock; with workers = 0 the service runs in
+// manual-pump mode (no threads), which together with runtime::FakeClock
+// makes every policy deterministic in tests.
 #pragma once
 
 #include <atomic>
@@ -100,9 +100,8 @@ struct ServiceConfig {
   /// two). A full ring spills to the next shard; when every ring is full
   /// the submission is rejected kQueueFull.
   std::size_t shard_capacity = 1024;
-  /// Micro-batch flush thresholds (see BatcherConfig).
+  /// Row cap of one natural batch; a larger request is its own batch.
   std::size_t max_batch_rows = 64;
-  std::uint64_t max_queue_delay_ms = 2;
   /// Admission bound: a submission is rejected with kQueueFull when the
   /// rows already queued (rings + batchers) plus its own would exceed
   /// this.
@@ -140,9 +139,8 @@ struct ServiceConfig {
   obs::AdminServerConfig admin;
   /// Adaptive load shedding (serve/overload.hpp). Disabled by default:
   /// enabled, sustained queue delay above target flips the service into
-  /// brownout — partial batches flush immediately and a deterministic
-  /// fraction of admissions is rejected kOverloaded — and /readyz reports
-  /// 503 until the controller recovers.
+  /// brownout — a deterministic fraction of admissions is rejected
+  /// kOverloaded — and /readyz reports 503 until the controller recovers.
   OverloadConfig overload;
   /// Worker stall detection (serve/watchdog.hpp). The watchdog itself is
   /// always wired (worker heartbeats cost one relaxed atomic add); this
@@ -180,7 +178,8 @@ class ScoringService {
   /// was already started (or already shut down). Idempotent.
   bool start();
 
-  /// Submits raw count rows (cols must equal the vocabulary size).
+  /// Submits raw count rows (cols must equal the vocabulary size; every
+  /// count finite and >= 0, else std::invalid_argument).
   /// Returns a slot-backed future that resolves with verdicts in row
   /// order, or with a rejection. Admission (queue_full / shutting_down)
   /// is decided synchronously; those futures are already ready on return.
@@ -209,16 +208,16 @@ class ScoringService {
   /// Version of the currently-published snapshot (1 on construction).
   std::uint64_t model_version() const;
 
-  /// Stops the service. With drain, pending requests are scored first
-  /// (partial batches flush immediately); without, they are rejected with
-  /// kShuttingDown. Subsequent submissions are rejected. Idempotent.
+  /// Stops the service. With drain, pending requests are scored first;
+  /// without, they are rejected with kShuttingDown. Subsequent
+  /// submissions are rejected. Idempotent.
   void shutdown(bool drain = true);
 
   /// Manual-pump mode only (workers == 0): drains the shard rings into
-  /// the pump batcher, expires overdue requests, then forms and scores at
-  /// most one batch if a flush is due (or `force`). Returns the number of
-  /// rows scored.
-  std::size_t pump(bool force = false);
+  /// the pump batcher, expires overdue requests, then scores one natural
+  /// batch of whatever is pending. Returns the number of rows scored (0
+  /// once nothing is pending).
+  std::size_t pump();
 
   /// Point-in-time copy of counters and histograms.
   ServiceStats stats() const;
@@ -294,14 +293,12 @@ class ScoringService {
   /// reused across batches; sessions reallocated only on snapshot
   /// change).
   struct WorkerState {
-    explicit WorkerState(BatcherConfig batcher_config)
-        : batcher(batcher_config) {}
+    explicit WorkerState(std::size_t max_batch_rows)
+        : batcher(max_batch_rows) {}
     MicroBatcher batcher;
     /// Per-worker eventcount: a submission wakes the *owner* of the shard
-    /// it landed on, so one submitter's stream keeps coalescing in one
-    /// batcher instead of fragmenting across whichever workers woke first
-    /// (fragmented batchers each wait their own flush window — measurably
-    /// worse tail latency at low load).
+    /// it landed on, so one submitter's stream lands in one batcher
+    /// instead of fragmenting across whichever workers woke first.
     runtime::EventCount signal;
     std::shared_ptr<const ModelSnapshot> pinned;
     std::unique_ptr<nn::InferenceSession> session;
@@ -310,6 +307,9 @@ class ScoringService {
 
   std::shared_ptr<const ModelSnapshot> current_snapshot() const;
   std::shared_ptr<ModelFaultInjector> current_fault() const;
+  /// Throws std::invalid_argument (naming `caller`) unless `counts` has
+  /// count_cols() columns and every value is in the count domain.
+  void check_counts(const math::Matrix& counts, const char* caller) const;
   /// Shared tail of submit()/submit_with_callback(): admission, shard
   /// routing, wakeup. Resolves the request inline when rejected.
   void submit_request(Request request, std::size_t rows,
@@ -334,8 +334,9 @@ class ScoringService {
   std::size_t gather(std::size_t worker_index, WorkerState& worker,
                      bool steal);
   bool all_shards_empty() const;
-  /// Expires + flushes + scores at most one batch. Returns rows scored.
-  std::size_t assemble_and_score(WorkerState& worker, bool force);
+  /// Expires overdue requests, then scores one natural batch of whatever
+  /// the worker's batcher holds. Returns rows scored.
+  std::size_t assemble_and_score(WorkerState& worker);
   /// Scores one batch and resolves its requests.
   void score_batch(WorkerState& worker, Batch batch);
   /// Rejects requests and bumps the matching counter. `charged` rows are

@@ -34,7 +34,7 @@ std::vector<int> ServiceOracle::label_counts(const math::Matrix& counts) {
   if (service_->config().workers == 0) {
     // Manual-pump service: drive the batch through ourselves.
     while (ctx.done.load(std::memory_order_acquire) == 0)
-      service_->pump(/*force=*/true);
+      service_->pump();
   } else {
     int observed = ctx.done.load(std::memory_order_acquire);
     while (observed == 0) {

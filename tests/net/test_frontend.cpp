@@ -1,9 +1,10 @@
 // ScoringFrontend end-to-end over real sockets: JSON and binary scoring
 // round-trips (bit-identical to the sequential reference), keep-alive
 // reuse, API-key auth + per-key rate limiting (the two-key isolation
-// criterion), the 4xx surface, serve-layer rejection mapping (503/504),
-// and the health/readiness endpoints. Codec edge cases live in
-// test_wire.cpp; socket mechanics in test_http_server.cpp.
+// criterion), the 4xx surface (out-of-domain counts included),
+// serve-layer rejection mapping (503/504), and the health/readiness
+// endpoints. Codec edge cases live in test_wire.cpp; socket mechanics in
+// test_http_server.cpp.
 #include "net/frontend.hpp"
 
 #include <arpa/inet.h>
@@ -12,6 +13,8 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -364,6 +367,55 @@ TEST(ScoringFrontend, BadInputsMapToThe4xxSurface) {
   EXPECT_EQ(frontend.stats().scored_requests, 0u);
 }
 
+TEST(ScoringFrontend, OutOfDomainCountsAre400WithTheReason) {
+  // Counts must be finite and >= 0 once narrowed to float, in both wire
+  // formats; a bad row never reaches the service.
+  Fixture f;
+  serve::ServiceConfig cfg;
+  cfg.workers = 1;
+  auto service = f.make_service(cfg);
+  ScoringFrontend frontend(service, base_config());
+  ASSERT_TRUE(frontend.start());
+  Client client(frontend.port());
+  ASSERT_TRUE(client.ok());
+
+  const auto expect_400 = [&](const std::string& request,
+                              const char* reason) {
+    client.send_raw(request);
+    const std::string response = client.read_response();
+    EXPECT_EQ(status_of(response), 400) << reason;
+    const std::string body = body_of(response);
+    EXPECT_NE(body.find("bad_request"), std::string::npos) << body;
+    EXPECT_NE(body.find("row 0"), std::string::npos) << body;
+    EXPECT_NE(body.find(reason), std::string::npos) << body;
+  };
+
+  for (const auto& [first, reason] :
+       {std::pair<const char*, const char*>{"1e39", "non-finite"},
+        {"-1", "negative"}}) {
+    std::string json = std::string("[[") + first;
+    for (std::size_t c = 1; c < kDim; ++c) json += ",0";
+    json += "]]";
+    expect_400(post_score(json, kJsonContentType), reason);
+  }
+  for (const auto& [value, reason] :
+       {std::pair<float, const char*>{std::nanf(""), "non-finite"},
+        {-5.0f, "negative"},
+        {std::numeric_limits<float>::infinity(), "non-finite"}}) {
+    math::Matrix row = random_counts(1, 3);
+    row(0, 7) = value;
+    expect_400(post_score(encode_binary_rows(row), kBinaryContentType),
+               reason);
+  }
+
+  // Valid rows on the same connection still score.
+  const math::Matrix good = random_counts(1, 4);
+  client.send_raw(post_score(encode_binary_rows(good), kBinaryContentType));
+  EXPECT_EQ(status_of(client.read_response()), 200);
+  EXPECT_EQ(frontend.stats().bad_requests, 5u);
+  EXPECT_EQ(service.stats().accepted_requests, 1u);
+}
+
 TEST(ScoringFrontend, OversizedBodiesAnd411ComeFromTheParser) {
   Fixture f;
   serve::ServiceConfig cfg;
@@ -402,7 +454,6 @@ TEST(ScoringFrontend, ExpiredDeadlineAnswers504) {
   runtime::FakeClock clock(1000);
   serve::ServiceConfig cfg;
   cfg.workers = 0;
-  cfg.max_queue_delay_ms = 100;
   cfg.clock = &clock;
   auto service = f.make_service(cfg);
   FrontendConfig config = base_config();
@@ -421,7 +472,7 @@ TEST(ScoringFrontend, ExpiredDeadlineAnswers504) {
   ASSERT_EQ(service.stats().accepted_requests, 1u);
 
   clock.advance(10);
-  service.pump(/*force=*/true);
+  service.pump();
 
   const std::string response = client.read_response();
   EXPECT_EQ(status_of(response), 504);
@@ -435,7 +486,6 @@ TEST(ScoringFrontend, BackpressureAndShutdownMapTo503WithRetryAfter) {
   serve::ServiceConfig cfg;
   cfg.workers = 0;
   cfg.max_queue_rows = 4;
-  cfg.max_queue_delay_ms = 100;
   cfg.clock = &clock;
   auto service = f.make_service(cfg);
   FrontendConfig config = base_config();
@@ -468,7 +518,7 @@ TEST(ScoringFrontend, BackpressureAndShutdownMapTo503WithRetryAfter) {
 
     // Drain the filler, then stop the service: subsequent posts are
     // 503 shutting_down.
-    while (service.pump(/*force=*/true) > 0) {
+    while (service.pump() > 0) {
     }
     EXPECT_EQ(status_of(filler.read_response()), 200);
   }

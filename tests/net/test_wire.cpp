@@ -5,6 +5,7 @@
 #include "net/wire.hpp"
 
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -35,14 +36,15 @@ math::Matrix ramp(std::size_t rows, std::size_t cols) {
 
 TEST(WireJson, ParsesRowsWithAssortedSpacingAndNumberForms) {
   const auto result = parse_json_rows(
-      " [ [1, 2.5 ,3e0] ,\n\t[-4.25,0,1e2] ]\n", /*expected_cols=*/3);
+      " [ [1, 2.5 ,3e0] ,\n\t[4.25,-0,1e2] ]\n", /*expected_cols=*/3);
   ASSERT_TRUE(result.ok) << result.error;
   ASSERT_EQ(result.rows.rows(), 2u);
   ASSERT_EQ(result.rows.cols(), 3u);
   EXPECT_FLOAT_EQ(result.rows.row(0)[0], 1.0f);
   EXPECT_FLOAT_EQ(result.rows.row(0)[1], 2.5f);
   EXPECT_FLOAT_EQ(result.rows.row(0)[2], 3.0f);
-  EXPECT_FLOAT_EQ(result.rows.row(1)[0], -4.25f);
+  EXPECT_FLOAT_EQ(result.rows.row(1)[0], 4.25f);
+  EXPECT_FLOAT_EQ(result.rows.row(1)[1], 0.0f);
   EXPECT_FLOAT_EQ(result.rows.row(1)[2], 100.0f);
 }
 
@@ -71,6 +73,27 @@ TEST(WireJson, ColumnMismatchNamesTheOffendingRow) {
   ASSERT_FALSE(result.ok);
   EXPECT_NE(result.error.find("row 1"), std::string::npos) << result.error;
   EXPECT_NE(result.error.find("2 columns"), std::string::npos);
+}
+
+TEST(WireJson, RejectsCountsOutsideTheDomainAfterNarrowing) {
+  // 1e39 is a finite double but overflows float to +inf; -1 is a finite
+  // float but not a count. Both name the offending row and the reason.
+  const auto overflow = parse_json_rows("[[1,2],[3,1e39]]", 2);
+  ASSERT_FALSE(overflow.ok);
+  EXPECT_NE(overflow.error.find("row 1"), std::string::npos)
+      << overflow.error;
+  EXPECT_NE(overflow.error.find("non-finite"), std::string::npos)
+      << overflow.error;
+
+  const auto negative = parse_json_rows("[[-1,2]]", 2);
+  ASSERT_FALSE(negative.ok);
+  EXPECT_NE(negative.error.find("row 0"), std::string::npos)
+      << negative.error;
+  EXPECT_NE(negative.error.find("negative"), std::string::npos)
+      << negative.error;
+
+  // The largest finite float still parses.
+  EXPECT_TRUE(parse_json_rows("[[3.4e38,0]]", 2).ok);
 }
 
 TEST(WireJson, EnforcesTheRowCap) {
@@ -131,6 +154,28 @@ TEST(WireBinary, DeclaredRowCountCannotOverrunTheBody) {
   const auto result = parse_binary_rows(lying, 4);
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("expected"), std::string::npos);
+}
+
+TEST(WireBinary, RejectsNanNegativeAndInfiniteCounts) {
+  // MEVB floats arrive raw; each out-of-domain value is refused with its
+  // row named, however it was produced.
+  const struct {
+    float value;
+    const char* reason;
+  } cases[] = {
+      {std::numeric_limits<float>::quiet_NaN(), "non-finite"},
+      {-5.0f, "negative"},
+      {std::numeric_limits<float>::infinity(), "non-finite"},
+  };
+  for (const auto& bad : cases) {
+    math::Matrix m = ramp(3, 4);
+    m(2, 1) = bad.value;
+    const auto result = parse_binary_rows(encode_binary_rows(m), 4);
+    ASSERT_FALSE(result.ok) << bad.value;
+    EXPECT_NE(result.error.find("row 2"), std::string::npos) << result.error;
+    EXPECT_NE(result.error.find(bad.reason), std::string::npos)
+        << result.error;
+  }
 }
 
 // ----------------------------------------------------------- responses --

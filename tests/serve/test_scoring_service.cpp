@@ -1,6 +1,6 @@
 // ScoringService behavior: parity with sequential scanning (bit-identical
-// verdicts for any worker count / batch window), deterministic batching
-// and deadline policy under FakeClock (manual-pump mode), backpressure,
+// verdicts for any worker count), deterministic natural batching and
+// deadline policy under FakeClock (manual-pump mode), backpressure,
 // shutdown semantics, and hot-swap under concurrency.
 #include "serve/scoring_service.hpp"
 
@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -84,7 +85,7 @@ TEST(ScoringService, ManualModeParityWithSequentialScan) {
     futures.push_back(service.submit(all.slice_rows(row, row + n)));
     row += n;
   }
-  while (service.pump(/*force=*/true) > 0) {
+  while (service.pump() > 0) {
   }
 
   const auto want = f.reference.scan_counts(all);
@@ -101,33 +102,32 @@ TEST(ScoringService, ManualModeParityWithSequentialScan) {
 }
 
 TEST(ScoringService, ThreadedParityAnyWorkerCountAnyWindow) {
+  // Which requests share a batch depends only on scheduling; verdicts
+  // must not.
   Fixture f;
   const math::Matrix all = random_counts(120, 43);
   const auto want = f.reference.scan_counts(all);
 
   for (std::size_t workers : {1u, 4u}) {
-    for (std::uint64_t window_ms : {0u, 2u}) {
-      ServiceConfig cfg;
-      cfg.workers = workers;
-      cfg.max_batch_rows = 16;
-      cfg.max_queue_delay_ms = window_ms;
-      auto service = f.make_service(cfg);
-      std::vector<ScoreFuture> futures;
-      for (std::size_t r = 0; r < all.rows(); r += 3)
-        futures.push_back(
-            service.submit(all.slice_rows(r, std::min(r + 3, all.rows()))));
-      std::size_t offset = 0;
-      for (auto& future : futures) {
-        ScoreResult result = future.get();
-        ASSERT_TRUE(result.ok());
-        const std::vector<core::Verdict> expected(
-            want.begin() + offset,
-            want.begin() + offset + result.verdicts.size());
-        expect_same_verdicts(result.verdicts, expected);
-        offset += result.verdicts.size();
-      }
-      EXPECT_EQ(offset, all.rows());
+    ServiceConfig cfg;
+    cfg.workers = workers;
+    cfg.max_batch_rows = 16;
+    auto service = f.make_service(cfg);
+    std::vector<ScoreFuture> futures;
+    for (std::size_t r = 0; r < all.rows(); r += 3)
+      futures.push_back(
+          service.submit(all.slice_rows(r, std::min(r + 3, all.rows()))));
+    std::size_t offset = 0;
+    for (auto& future : futures) {
+      ScoreResult result = future.get();
+      ASSERT_TRUE(result.ok());
+      const std::vector<core::Verdict> expected(
+          want.begin() + offset,
+          want.begin() + offset + result.verdicts.size());
+      expect_same_verdicts(result.verdicts, expected);
+      offset += result.verdicts.size();
     }
+    EXPECT_EQ(offset, all.rows());
   }
 }
 
@@ -137,7 +137,6 @@ TEST(ScoringService, FullBatchFlushesWithoutClockAdvance) {
   ServiceConfig cfg;
   cfg.workers = 0;
   cfg.max_batch_rows = 4;
-  cfg.max_queue_delay_ms = 100;
   cfg.clock = &clock;
   auto service = f.make_service(cfg);
 
@@ -147,24 +146,144 @@ TEST(ScoringService, FullBatchFlushesWithoutClockAdvance) {
   EXPECT_TRUE(future.get().ok());
 }
 
-TEST(ScoringService, PartialBatchWaitsForWindowUnderFakeClock) {
+TEST(ScoringService, LoneRowScoredByFirstPumpWithoutClockAdvance) {
+  // Natural batching: a 1-row request in an otherwise empty service is a
+  // batch by itself — no co-rider window, no clock advance.
   Fixture f;
   runtime::FakeClock clock;
   ServiceConfig cfg;
   cfg.workers = 0;
   cfg.max_batch_rows = 64;
-  cfg.max_queue_delay_ms = 5;
   cfg.clock = &clock;
   auto service = f.make_service(cfg);
 
-  auto future = service.submit(random_counts(2, 2));
-  EXPECT_EQ(service.pump(), 0u);  // window not elapsed, no flush
-  clock.advance(5);
-  EXPECT_EQ(service.pump(), 2u);  // partial batch flushed by time
-  EXPECT_TRUE(future.get().ok());
+  const math::Matrix row = random_counts(1, 2);
+  auto future = service.submit(row);
+  EXPECT_EQ(service.pump(), 1u);
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  const ScoreResult result = future.get();
+  ASSERT_TRUE(result.ok());
+  expect_same_verdicts(result.verdicts, f.reference.scan_counts(row));
   const auto stats = service.stats();
   EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.completed_rows, 2u);
+  EXPECT_EQ(stats.completed_rows, 1u);
+  EXPECT_EQ(stats.queue_delay_us.max(), 0u);  // FakeClock never moved
+  EXPECT_EQ(service.pump(), 0u);
+}
+
+TEST(ScoringService, BacklogFormsFifoBatchesOfWholeRequests) {
+  // A backlog that piled up while no worker was free is taken in natural
+  // batches: whole requests, FIFO, each at most max_batch_rows rows —
+  // except a request larger than the cap, which forms its own batch.
+  Fixture f;
+  runtime::FakeClock clock;
+  ServiceConfig cfg;
+  cfg.workers = 0;
+  cfg.max_batch_rows = 8;
+  cfg.clock = &clock;
+  auto service = f.make_service(cfg);
+
+  const std::vector<std::size_t> sizes = {3, 3, 3, 20, 2, 1, 5, 4};
+  std::vector<math::Matrix> inputs;
+  std::vector<ScoreFuture> futures;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    inputs.push_back(random_counts(sizes[i], 60 + i));
+    futures.push_back(service.submit(inputs.back()));
+  }
+
+  // Each pump scores one batch; `done` is how many requests (a FIFO
+  // prefix) have completed after it.
+  const std::vector<std::size_t> batch_rows = {6, 3, 20, 8, 4};
+  const std::vector<std::size_t> done = {2, 3, 4, 7, 8};
+  for (std::size_t b = 0; b < batch_rows.size(); ++b) {
+    EXPECT_EQ(service.pump(), batch_rows[b]) << "batch " << b;
+    for (std::size_t i = 0; i < futures.size(); ++i)
+      EXPECT_EQ(futures[i].wait_for(std::chrono::seconds(0)) ==
+                    std::future_status::ready,
+                i < done[b])
+          << "batch " << b << " request " << i;
+  }
+  EXPECT_EQ(service.pump(), 0u);
+
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const ScoreResult result = futures[i].get();
+    ASSERT_TRUE(result.ok()) << i;
+    expect_same_verdicts(result.verdicts, f.reference.scan_counts(inputs[i]));
+  }
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.batches, batch_rows.size());
+  EXPECT_EQ(stats.batch_rows.max(), 20u);
+  EXPECT_EQ(stats.completed_rows, 41u);
+}
+
+TEST(ScoringService, DeadlinePassedInRingIsRejectedWithoutAScan) {
+  Fixture f;
+  runtime::FakeClock clock(10);
+  ServiceConfig cfg;
+  cfg.workers = 0;
+  cfg.clock = &clock;
+  auto service = f.make_service(cfg);
+
+  SubmitOptions options;
+  options.deadline_ms = 5;
+  auto doomed = service.submit(random_counts(2, 70), options);
+  clock.advance(5);  // the deadline passes while the request sits in a ring
+  EXPECT_EQ(service.pump(), 0u);
+
+  ASSERT_EQ(doomed.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  const ScoreResult result = doomed.get();
+  EXPECT_EQ(result.rejected, RejectReason::kDeadline);
+  EXPECT_TRUE(result.verdicts.empty());
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.expired_in_queue, 1u);
+  EXPECT_EQ(stats.batches, 0u);  // no scan call was spent on it
+  EXPECT_EQ(stats.completed_rows, 0u);
+}
+
+TEST(ScoringService, ThreadedWorkerNeverParksWithPendingWork) {
+  // A frozen FakeClock: no amount of waiting makes time pass, so any
+  // request a worker parked on (waiting for a window or a co-rider) would
+  // never complete. Every request must still resolve, for one worker and
+  // for several racing submitters.
+  Fixture f;
+  runtime::FakeClock clock(1000);
+  for (std::size_t workers : {1u, 3u}) {
+    ServiceConfig cfg;
+    cfg.workers = workers;
+    cfg.max_batch_rows = 8;
+    cfg.max_queue_rows = 1u << 20;
+    cfg.clock = &clock;
+    auto service = f.make_service(cfg);
+
+    // A lone row, then a burst from several threads.
+    auto lone = service.submit(random_counts(1, 80));
+    ASSERT_EQ(lone.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+    EXPECT_TRUE(lone.get().ok());
+
+    constexpr std::size_t kProducers = 3;
+    constexpr std::size_t kPerProducer = 30;
+    std::vector<std::vector<ScoreFuture>> futures(kProducers);
+    std::vector<std::thread> producers;
+    for (std::size_t p = 0; p < kProducers; ++p)
+      producers.emplace_back([&, p] {
+        for (std::size_t i = 0; i < kPerProducer; ++i)
+          futures[p].push_back(
+              service.submit(random_counts(1 + i % 2, 90 + p * 100 + i)));
+      });
+    for (auto& t : producers) t.join();
+    for (auto& per_producer : futures)
+      for (auto& future : per_producer) {
+        ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
+                  std::future_status::ready)
+            << "workers=" << workers;
+        EXPECT_TRUE(future.get().ok());
+      }
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.completed_requests, 1 + kProducers * kPerProducer);
+  }
 }
 
 TEST(ScoringService, ExpiredDeadlineIsRejectedNotScored) {
@@ -172,7 +291,6 @@ TEST(ScoringService, ExpiredDeadlineIsRejectedNotScored) {
   runtime::FakeClock clock(50);
   ServiceConfig cfg;
   cfg.workers = 0;
-  cfg.max_queue_delay_ms = 100;
   cfg.clock = &clock;
   auto service = f.make_service(cfg);
 
@@ -180,8 +298,8 @@ TEST(ScoringService, ExpiredDeadlineIsRejectedNotScored) {
   options.deadline_ms = 5;
   auto doomed = service.submit(random_counts(3, 3), options);
   auto alive = service.submit(random_counts(2, 4));
-  clock.advance(10);  // past the deadline, inside the batch window
-  service.pump(/*force=*/true);
+  clock.advance(10);  // past the deadline while both sit in a ring
+  service.pump();
 
   const ScoreResult rejected = doomed.get();
   EXPECT_FALSE(rejected.ok());
@@ -191,7 +309,7 @@ TEST(ScoringService, ExpiredDeadlineIsRejectedNotScored) {
 
   const auto stats = service.stats();
   EXPECT_EQ(stats.rejected_deadline, 1u);
-  EXPECT_EQ(stats.expired_in_queue, 1u);  // aged out waiting in the batcher
+  EXPECT_EQ(stats.expired_in_queue, 1u);  // aged out waiting in the queue
   EXPECT_EQ(stats.completed_requests, 1u);
   EXPECT_EQ(stats.completed_rows, 2u);  // the doomed rows never ran
 }
@@ -225,7 +343,6 @@ TEST(ScoringService, EarlierOfRelativeAndAbsoluteDeadlineWins) {
   runtime::FakeClock clock(100);
   ServiceConfig cfg;
   cfg.workers = 0;
-  cfg.max_queue_delay_ms = 1000;
   cfg.clock = &clock;
   auto service = f.make_service(cfg);
 
@@ -245,7 +362,7 @@ TEST(ScoringService, EarlierOfRelativeAndAbsoluteDeadlineWins) {
   auto c = service.submit(random_counts(1, 33), roomy);
 
   clock.advance(15);  // now 115: past both tight deadlines
-  service.pump(/*force=*/true);
+  service.pump();
   EXPECT_EQ(a.get().rejected, RejectReason::kDeadline);
   EXPECT_EQ(b.get().rejected, RejectReason::kDeadline);
   EXPECT_TRUE(c.get().ok());
@@ -271,7 +388,7 @@ TEST(ScoringService, QueueFullRejectsImmediately) {
             std::future_status::ready);
   EXPECT_EQ(rejected.get().rejected, RejectReason::kQueueFull);
 
-  while (service.pump(true) > 0) {
+  while (service.pump() > 0) {
   }
   EXPECT_TRUE(accepted.get().ok());
   const auto stats = service.stats();
@@ -284,7 +401,6 @@ TEST(ScoringService, ShutdownDrainScoresPending) {
   runtime::FakeClock clock;
   ServiceConfig cfg;
   cfg.workers = 0;
-  cfg.max_queue_delay_ms = 1000;
   cfg.clock = &clock;
   auto service = f.make_service(cfg);
 
@@ -302,7 +418,6 @@ TEST(ScoringService, ShutdownWithoutDrainRejectsPending) {
   runtime::FakeClock clock;
   ServiceConfig cfg;
   cfg.workers = 0;
-  cfg.max_queue_delay_ms = 1000;
   cfg.clock = &clock;
   auto service = f.make_service(cfg);
 
@@ -346,6 +461,37 @@ TEST(ScoringService, WrongColumnCountThrows) {
   cfg.workers = 0;
   auto service = f.make_service(cfg);
   EXPECT_THROW(service.submit(math::Matrix(1, 10)), std::invalid_argument);
+}
+
+TEST(ScoringService, OutOfDomainCountsThrowOnBothSubmitPaths) {
+  // The in-process door enforces the same count domain as the wire
+  // decoders: finite and >= 0. Nothing is admitted.
+  Fixture f;
+  ServiceConfig cfg;
+  cfg.workers = 0;
+  auto service = f.make_service(cfg);
+  for (const float bad : {-1.0f, std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    math::Matrix counts = random_counts(2, 12);
+    counts(1, 3) = bad;
+    EXPECT_THROW(service.submit(counts), std::invalid_argument) << bad;
+    EXPECT_THROW(service.submit_with_callback(
+                     counts, SubmitOptions{},
+                     [](void*, ScoreResult&&) { FAIL(); }, nullptr),
+                 std::invalid_argument)
+        << bad;
+  }
+  EXPECT_EQ(service.stats().accepted_requests, 0u);
+  try {
+    math::Matrix counts = random_counts(1, 13);
+    counts(0, 5) = -2.0f;
+    service.submit(counts);
+    FAIL() << "negative count admitted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("row 0 column 5"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(ScoringService, HotSwapPublishesNewModelAtomically) {
@@ -396,7 +542,6 @@ TEST(ScoringService, ConcurrentSubmitAndHotSwapExactlyOnce) {
   ServiceConfig cfg;
   cfg.workers = 4;
   cfg.max_batch_rows = 8;
-  cfg.max_queue_delay_ms = 1;
   cfg.max_queue_rows = 1u << 20;  // no backpressure in this test
   auto service = f.make_service(cfg);
 
@@ -465,7 +610,6 @@ TEST(ScoringService, ConcurrentCallbackSubmittersExactlyOnce) {
   ServiceConfig cfg;
   cfg.workers = 2;
   cfg.max_batch_rows = 8;
-  cfg.max_queue_delay_ms = 1;
   cfg.max_queue_rows = 1u << 20;  // no backpressure: every submit lands
   auto service = f.make_service(cfg);
 
@@ -524,14 +668,13 @@ TEST(ScoringService, StatsHistogramsTrackBatchesAndLatency) {
   ServiceConfig cfg;
   cfg.workers = 0;
   cfg.max_batch_rows = 4;
-  cfg.max_queue_delay_ms = 10;
   cfg.clock = &clock;
   auto service = f.make_service(cfg);
 
   auto a = service.submit(random_counts(4, 21));  // full batch
   service.pump();
-  auto b = service.submit(random_counts(2, 22));  // partial, flushed by time
-  clock.advance(10);
+  auto b = service.submit(random_counts(2, 22));  // partial
+  clock.advance(10);  // sits in its ring for 10ms before the next pump
   service.pump();
   EXPECT_TRUE(a.get().ok());
   EXPECT_TRUE(b.get().ok());

@@ -100,7 +100,7 @@ TEST(ShardedIngress, CallbackModeParityWithFutureMode) {
       },
       &ctx);
   ScoreFuture future = service.submit(counts);
-  while (ctx.calls == 0) service.pump(/*force=*/true);
+  while (ctx.calls == 0) service.pump();
   const ScoreResult via_future = future.get();
 
   ASSERT_EQ(ctx.calls, 1);
@@ -155,7 +155,7 @@ TEST(ShardedIngress, SpillsPastFullHomeShardThenRejects) {
   for (auto& future : futures) {
     while (future.wait_for(std::chrono::seconds(0)) !=
            std::future_status::ready)
-      service.pump(/*force=*/true);
+      service.pump();
     const ScoreResult result = future.get();
     if (result.ok()) ++ok;
     if (result.rejected == RejectReason::kQueueFull) ++queue_full;
@@ -188,7 +188,6 @@ TEST(ShardedIngress, NoVerdictFromRetiredSnapshotAfterSwapReturns) {
   cfg.workers = 2;
   cfg.shards = 4;
   cfg.max_batch_rows = 8;
-  cfg.max_queue_delay_ms = 0;
   ScoringService service(pipeline, network, cfg);
 
   constexpr std::size_t kSubmitters = 4;
