@@ -1,5 +1,6 @@
 // The provenance block every BENCH_*.json carries under the "meta" key:
-// git SHA, build flags, and the box's hardware_concurrency. Without it a
+// git SHA, build flags, the box's hardware_concurrency, and the GEMM kernel
+// variant the process dispatched to (kernel_isa). Without it a
 // bench trajectory across commits/boxes is unattributable — a regression
 // report cannot say whether the code or the machine changed.
 // check_regression.py never gates on it, but prints a WARNING when the
@@ -16,6 +17,7 @@
 #include <string>
 #include <thread>
 
+#include "math/matrix.hpp"
 #include "obs/build_info.hpp"
 
 namespace mev::bench {
@@ -35,7 +37,8 @@ inline void write_meta_json(std::ostream& os, const char* indent = "  ") {
      << meta_json_escape(mev::obs::build_git_sha()) << "\", \"build_flags\": \""
      << meta_json_escape(mev::obs::build_flags())
      << "\", \"hardware_concurrency\": "
-     << std::max(1u, std::thread::hardware_concurrency()) << "}";
+     << std::max(1u, std::thread::hardware_concurrency())
+     << ", \"kernel_isa\": \"" << mev::math::kernel_isa() << "\"}";
 }
 
 }  // namespace mev::bench

@@ -27,11 +27,16 @@ tolerance band fails; improvements are reported and pass. Keys present in
 only one file are reported but never fail the check, so adding or removing
 a benchmark does not require touching this script.
 
-Each report's ``meta`` provenance block (git SHA, build flags, core count)
-never makes two reports incomparable, but a baseline and a fresh run that
-differ in ``hardware_concurrency`` or ``build_flags`` print a loud
-``WARNING`` line first: the gate still applies at full strictness, and the
-warning says why its numbers may not be like for like.
+Each report's ``meta`` provenance block (git SHA, build flags, core count,
+GEMM kernel variant) never makes two reports incomparable, but a baseline
+and a fresh run that differ in ``hardware_concurrency``, ``build_flags`` or
+``kernel_isa`` print a loud ``WARNING`` line first: the gate still applies
+at full strictness, and the warning says why its numbers may not be like
+for like. The one exception is the micro keys that time the GEMM kernels:
+they are gated only when both runs used the same kernel variant, and
+skipped otherwise. The AVX2 and AVX-512 variants differ by up to 2.5x on
+the same box, so across variants the gate would measure the CPU's ISA,
+not the change.
 
 Multi-worker throughput gates are *skipped* (not failed) when either run
 was under-provisioned — the sweep point uses more workers than the box has
@@ -55,16 +60,29 @@ import json
 import sys
 
 # Micro benchmarks gating the check (prefix match on "name/arg" keys):
-# session-based inference is the hot path of every attack loop, and the
-# span/counter costs are the observability overhead contract. Everything
-# else in BENCH_micro.json is informational.
+# the GEMM kernel and the session forward, backward and training step built
+# on it are the hot path of every attack loop, and the span/counter costs
+# are the observability overhead contract. Everything else in
+# BENCH_micro.json is informational.
 PINNED_MICRO_PREFIXES = (
+    "BM_Matmul",
     "BM_SessionForward",
+    "BM_SessionBackward",
+    "BM_NetworkTrainStep",
     "BM_ObsSpanEnabled",
     "BM_ObsCounterInc",
     "BM_ObsHistogramRecord",
     "BM_WindowRecord",
     "BM_SloUpdate",
+)
+
+# The pinned keys whose cost is the GEMM kernels': compared only against a
+# baseline measured with the same kernel variant (meta.kernel_isa).
+KERNEL_MICRO_PREFIXES = (
+    "BM_Matmul",
+    "BM_SessionForward",
+    "BM_SessionBackward",
+    "BM_NetworkTrainStep",
 )
 
 # Overload-phase absolute floor: at 2x offered load with shedding on, the
@@ -144,10 +162,17 @@ class Comparison:
         return True
 
 
-def check_micro(baseline, fresh, tolerance):
+def check_micro(baseline, fresh, tolerance, base_isa=None, fresh_isa=None):
     comparison = Comparison(tolerance)
     for key in sorted(baseline):
         if not key.startswith(PINNED_MICRO_PREFIXES):
+            continue
+        if key.startswith(KERNEL_MICRO_PREFIXES) and base_isa != fresh_isa:
+            comparison.skip(
+                key,
+                f"kernel variant differs: baseline {base_isa!r}, "
+                f"fresh {fresh_isa!r}",
+            )
             continue
         comparison.check(key, baseline.get(key), fresh.get(key))
     for key in sorted(set(fresh) - set(baseline)):
@@ -311,14 +336,14 @@ def check_http(baseline, fresh, tolerance):
     return comparison.report("http")
 
 
-PROVENANCE_KEYS = ("hardware_concurrency", "build_flags")
+PROVENANCE_KEYS = ("hardware_concurrency", "build_flags", "kernel_isa")
 
 
 def warn_on_provenance_mismatch(baseline, fresh):
     """Print a WARNING per provenance key that differs between the runs.
 
-    Never changes the verdict: a mismatch explains a delta, it does not
-    excuse one.
+    A mismatch explains a delta, it does not excuse one; only the GEMM
+    kernel keys of a micro report are skipped across kernel variants.
     """
     base_meta = baseline.get("meta") or {}
     fresh_meta = fresh.get("meta") or {}
@@ -351,16 +376,21 @@ def main():
 
     baseline = load(options.baseline)
     fresh = load(options.fresh)
-    # The "meta" provenance block (git SHA, build flags, core count) must
-    # never make two reports incomparable, but a mismatch is announced.
+    # The "meta" provenance block (git SHA, build flags, core count, kernel
+    # variant) never makes two reports incomparable; a mismatch is announced.
     if isinstance(baseline, dict) and isinstance(fresh, dict):
         warn_on_provenance_mismatch(baseline, fresh)
-    for report in (baseline, fresh):
-        if isinstance(report, dict):
-            report.pop("meta", None)
-    checkers = {"micro": check_micro, "serve": check_serve,
-                "http": check_http}
-    ok = checkers[options.kind](baseline, fresh, options.tolerance)
+    base_meta, fresh_meta = (
+        (report.pop("meta", None) if isinstance(report, dict) else None) or {}
+        for report in (baseline, fresh)
+    )
+    if options.kind == "micro":
+        ok = check_micro(baseline, fresh, options.tolerance,
+                         base_meta.get("kernel_isa"),
+                         fresh_meta.get("kernel_isa"))
+    else:
+        checkers = {"serve": check_serve, "http": check_http}
+        ok = checkers[options.kind](baseline, fresh, options.tolerance)
     sys.exit(0 if ok else 1)
 
 

@@ -200,22 +200,25 @@ AttackResult Jsma::craft(const nn::Network& model,
   craft_span.arg("budget", static_cast<double>(budget));
   if (n == 0 || budget == 0 || config_.theta == 0.0f) {
     // Zero-strength attack: evaded iff already misclassified.
-    if (n > 0) {
-      nn::InferenceSession session(model, n);
-      const auto preds = session.predict(x);
-      for (std::size_t i = 0; i < n; ++i)
-        result.evaded[i] = preds[i] == config_.target_class;
-    }
+    const std::vector<int> preds = nn::predict_in_chunks(model, x);
+    for (std::size_t i = 0; i < n; ++i)
+      result.evaded[i] = preds[i] == config_.target_class;
     return result;
   }
 
   // Contiguous sample shards, one session per shard, one shared read-only
   // network. Results are shard-count-invariant (all math is row-wise).
-  std::size_t shards = 1;
+  // Shards hold at most kMaxShardRows rows, so a shard's session and
+  // buffers stay small however many rows there are, and their number is a
+  // multiple of the thread count so the threads get equal work.
+  constexpr std::size_t kMaxShardRows = 32;
+  std::size_t threads = 1;
 #ifdef _OPENMP
-  shards = std::min<std::size_t>(
-      n, static_cast<std::size_t>(std::max(1, omp_get_max_threads())));
+  threads = static_cast<std::size_t>(std::max(1, omp_get_max_threads()));
 #endif
+  const std::size_t round_rows = threads * kMaxShardRows;
+  const std::size_t shards =
+      std::min(n, threads * ((n + round_rows - 1) / round_rows));
   std::vector<std::uint8_t> evaded(n, 0);
   std::exception_ptr error;
 #ifdef _OPENMP

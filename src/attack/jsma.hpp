@@ -42,9 +42,10 @@ class Jsma final : public EvasionAttack {
   explicit Jsma(JsmaConfig config);
 
   /// Session-based crafting. The sample batch is split into contiguous
-  /// shards crafted in parallel (OpenMP), one InferenceSession per shard
-  /// against the shared read-only network. Every per-sample quantity is
-  /// computed row-wise, so the outcome is identical for any shard count.
+  /// shards of at most 32 rows crafted in parallel (OpenMP), one
+  /// InferenceSession per shard against the shared read-only network.
+  /// Every per-sample quantity is computed row-wise, so the outcome is
+  /// identical for any shard count.
   AttackResult craft(const nn::Network& model,
                      const math::Matrix& x) const override;
   std::string name() const override { return "jsma"; }

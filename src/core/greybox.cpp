@@ -3,16 +3,25 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace mev::core {
 
-math::Matrix additions_from_count_perturbation(
-    const features::CountTransform& attacker_transform,
-    const math::Matrix& original_features, const math::Matrix& adversarial) {
-  if (!original_features.same_shape(adversarial))
-    throw std::invalid_argument(
-        "additions_from_count_perturbation: shape mismatch");
-  math::Matrix additions(original_features.rows(), original_features.cols());
+namespace {
+
+void require_same_shape(const math::Matrix& a, const math::Matrix& b,
+                        const char* what) {
+  if (!a.same_shape(b)) throw std::invalid_argument(what);
+}
+
+/// Adds to `counts`, in place, the integer API-call additions that turn the
+/// attacker-space `original_features` into `adversarial`. Deploying adds
+/// straight into a copy of the raw counts, so no separate additions matrix
+/// is built.
+void add_count_perturbation(const features::CountTransform& attacker_transform,
+                            const math::Matrix& original_features,
+                            const math::Matrix& adversarial,
+                            math::Matrix& counts) {
   for (std::size_t r = 0; r < original_features.rows(); ++r) {
     for (std::size_t c = 0; c < original_features.cols(); ++c) {
       const float delta = adversarial(r, c) - original_features(r, c);
@@ -21,40 +30,43 @@ math::Matrix additions_from_count_perturbation(
           attacker_transform.counts_for_feature_value(c, original_features(r, c));
       const auto after =
           attacker_transform.counts_for_feature_value(c, adversarial(r, c));
-      additions(r, c) =
-          static_cast<float>(after > before ? after - before : 1);
+      counts(r, c) += static_cast<float>(after > before ? after - before : 1);
     }
   }
-  return additions;
 }
 
-math::Matrix additions_from_binary_perturbation(
-    const math::Matrix& original_features, const math::Matrix& adversarial) {
-  if (!original_features.same_shape(adversarial))
-    throw std::invalid_argument(
-        "additions_from_binary_perturbation: shape mismatch");
-  math::Matrix additions(original_features.rows(), original_features.cols());
+void add_binary_perturbation(const math::Matrix& original_features,
+                             const math::Matrix& adversarial,
+                             math::Matrix& counts) {
   for (std::size_t r = 0; r < original_features.rows(); ++r)
     for (std::size_t c = 0; c < original_features.cols(); ++c)
       // Any increase on an absent API means "call it once".
       if (adversarial(r, c) > original_features(r, c) &&
           original_features(r, c) < 0.5f)
-        additions(r, c) = 1.0f;
-  return additions;
-}
-
-namespace {
-
-/// Shared deploy step: counts + additions -> target features.
-math::Matrix deploy_counts(const features::FeaturePipeline& target_pipeline,
-                           const math::Matrix& counts,
-                           const math::Matrix& additions) {
-  math::Matrix final_counts = counts;
-  final_counts += additions;
-  return target_pipeline.features_from_counts(final_counts);
+        counts(r, c) += 1.0f;
 }
 
 }  // namespace
+
+math::Matrix additions_from_count_perturbation(
+    const features::CountTransform& attacker_transform,
+    const math::Matrix& original_features, const math::Matrix& adversarial) {
+  require_same_shape(original_features, adversarial,
+                     "additions_from_count_perturbation: shape mismatch");
+  math::Matrix additions(original_features.rows(), original_features.cols());
+  add_count_perturbation(attacker_transform, original_features, adversarial,
+                         additions);
+  return additions;
+}
+
+math::Matrix additions_from_binary_perturbation(
+    const math::Matrix& original_features, const math::Matrix& adversarial) {
+  require_same_shape(original_features, adversarial,
+                     "additions_from_binary_perturbation: shape mismatch");
+  math::Matrix additions(original_features.rows(), original_features.cols());
+  add_binary_perturbation(original_features, adversarial, additions);
+  return additions;
+}
 
 FeatureSpaceMap make_greybox_count_map(
     features::CountTransform attacker_transform,
@@ -76,9 +88,12 @@ FeatureSpaceMap make_greybox_count_map(
   };
   map.to_target_space = [transform, pipeline, counts,
                          craft_features](const math::Matrix& adversarial) {
-    const math::Matrix additions = additions_from_count_perturbation(
-        *transform, *craft_features, adversarial);
-    return deploy_counts(*pipeline, *counts, additions);
+    require_same_shape(*craft_features, adversarial,
+                       "greybox count map: shape mismatch");
+    math::Matrix final_counts = *counts;
+    add_count_perturbation(*transform, *craft_features, adversarial,
+                           final_counts);
+    return pipeline->features_from_counts(std::move(final_counts));
   };
   return map;
 }
@@ -98,9 +113,11 @@ FeatureSpaceMap make_greybox_binary_map(features::FeaturePipeline target_pipelin
   };
   map.to_target_space = [pipeline, counts,
                          craft_features](const math::Matrix& adversarial) {
-    const math::Matrix additions =
-        additions_from_binary_perturbation(*craft_features, adversarial);
-    return deploy_counts(*pipeline, *counts, additions);
+    require_same_shape(*craft_features, adversarial,
+                       "greybox binary map: shape mismatch");
+    math::Matrix final_counts = *counts;
+    add_binary_perturbation(*craft_features, adversarial, final_counts);
+    return pipeline->features_from_counts(std::move(final_counts));
   };
   return map;
 }

@@ -72,20 +72,22 @@ SweepResult run_security_sweep(const nn::Network& craft_model,
 
   const math::Matrix craft_inputs = map.to_craft_space(malware_features);
 
-  // Grid points are independent: pre-size the curves and fill by index so
-  // the loop can run in parallel (dynamic schedule — per-point cost grows
-  // with the swept attack strength).
+  // Grid points run one after another and each point's JSMA shards its
+  // rows across the OpenMP threads: the per-point buffers (the crafted
+  // copy, the deployed rows) exist once at a time, and equal shards keep
+  // the threads evenly loaded where whole points, whose cost grows with
+  // the attack strength, would not.
   const std::size_t grid_size = sweep.grid.size();
   result.target_curve.points.resize(grid_size);
   result.craft_curve.points.resize(grid_size);
   if (clean_features != nullptr) result.distances.resize(grid_size);
 
-  // One error slot per grid point — written without synchronization since
-  // each parallel iteration touches only its own index.
-  std::vector<std::exception_ptr> errors(grid_size);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 1) if (grid_size > 1)
-#endif
+  // Per-point failure isolation: record what failed, keep what succeeded.
+  std::exception_ptr first_error;
+  const auto record_failure = [&](std::size_t gi, const char* message) {
+    if (first_error == nullptr) first_error = std::current_exception();
+    result.failed_points.push_back({gi, sweep.grid[gi], message});
+  };
   for (std::size_t gi = 0; gi < grid_size; ++gi) {
     try {
       const double value = sweep.grid[gi];
@@ -109,8 +111,8 @@ SweepResult run_security_sweep(const nn::Network& craft_model,
 
       // Deploy in target space.
       const math::Matrix deployed = map.to_target_space(crafted.adversarial);
-      nn::InferenceSession target_session(target_model, deployed.rows());
-      const auto target_preds = target_session.predict(deployed);
+      const std::vector<int> target_preds =
+          nn::predict_in_chunks(target_model, deployed);
       std::size_t detected = 0;
       for (int p : target_preds)
         if (p == data::kMalwareLabel) ++detected;
@@ -146,31 +148,17 @@ SweepResult run_security_sweep(const nn::Network& craft_model,
                                                   *clean_features);
         result.distances[gi] = dp;
       }
-    } catch (...) {
-      errors[gi] = std::current_exception();
-    }
-  }
-
-  // Per-point failure isolation: record what failed, keep what succeeded.
-  std::size_t failed = 0;
-  for (std::size_t gi = 0; gi < grid_size; ++gi) {
-    if (errors[gi] == nullptr) continue;
-    if (!sweep.isolate_failures) std::rethrow_exception(errors[gi]);
-    ++failed;
-    SweepResult::FailedPoint point;
-    point.index = gi;
-    point.attack_strength = sweep.grid[gi];
-    try {
-      std::rethrow_exception(errors[gi]);
     } catch (const std::exception& e) {
-      point.message = e.what();
+      if (!sweep.isolate_failures) throw;
+      record_failure(gi, e.what());
     } catch (...) {
-      point.message = "unknown error";
+      if (!sweep.isolate_failures) throw;
+      record_failure(gi, "unknown error");
     }
-    result.failed_points.push_back(std::move(point));
   }
-  if (failed == grid_size)  // nothing usable came back; surface the cause
-    std::rethrow_exception(errors.front());
+  // Nothing usable came back: surface the cause.
+  if (result.failed_points.size() == grid_size)
+    std::rethrow_exception(first_error);
   return result;
 }
 

@@ -69,9 +69,8 @@ struct SweepResult {
 /// (identity for white-box / exact-feature grey-box; a re-extraction for
 /// the binary-feature attacker). The crafted CRAFT-space perturbation is
 /// mapped back with `target_features_of` before scoring the target.
-/// Grid points are evaluated in parallel, so `to_target_space` must be
-/// safe to call concurrently (pure function of its input — true of
-/// identity() and the grey-box maps, which only read captured state).
+/// Both maps must be pure functions of their input (true of identity() and
+/// the grey-box maps, which only read captured state).
 struct FeatureSpaceMap {
   std::function<math::Matrix(const math::Matrix&)> to_craft_space;
   std::function<math::Matrix(const math::Matrix&)> to_target_space;
@@ -79,9 +78,9 @@ struct FeatureSpaceMap {
   static FeatureSpaceMap identity();
 };
 
-/// Runs the γ/θ sweep. Both models are read-only; the grid points are
-/// independent and evaluated in parallel (OpenMP), each with its own
-/// inference sessions against the shared networks.
+/// Runs the γ/θ sweep. Both models are read-only. Grid points run in
+/// order; each point's JSMA shards its rows across the OpenMP threads,
+/// each shard with its own inference session against the shared networks.
 SweepResult run_security_sweep(
     const nn::Network& craft_model, const nn::Network& target_model,
     const math::Matrix& malware_features, const SweepConfig& sweep,

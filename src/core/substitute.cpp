@@ -1,6 +1,7 @@
 #include "core/substitute.hpp"
 
 #include <memory>
+#include <utility>
 
 #include "features/transform.hpp"
 
@@ -11,12 +12,11 @@ namespace {
 SubstituteResult train_with_pipeline(features::FeaturePipeline pipeline,
                                      const data::CountDataset& attacker_data,
                                      const ExperimentConfig& config) {
-  const math::Matrix features =
-      pipeline.features_from_counts(attacker_data.counts);
+  math::Matrix features = pipeline.features_from_counts(attacker_data.counts);
   auto network = std::make_shared<nn::Network>(
       nn::make_mlp(config.substitute_architecture(features.cols())));
 
-  nn::LabeledData train_data{features, attacker_data.labels};
+  nn::LabeledData train_data{std::move(features), attacker_data.labels};
   SubstituteResult result{std::move(pipeline), network,
                           nn::train(*network, train_data,
                                     config.substitute_training()),

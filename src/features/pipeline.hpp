@@ -4,6 +4,7 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 
 #include "data/api_log.hpp"
 #include "data/api_vocab.hpp"
@@ -41,6 +42,12 @@ class FeaturePipeline {
   /// Normalized features for raw count rows.
   math::Matrix features_from_counts(const math::Matrix& counts) const {
     return transform_->apply(counts);
+  }
+
+  /// The same, reusing the storage of `counts`.
+  math::Matrix features_from_counts(math::Matrix&& counts) const {
+    transform_->apply_in_place(counts);
+    return std::move(counts);
   }
 
   std::vector<float> features_from_counts_row(

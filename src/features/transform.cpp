@@ -15,6 +15,13 @@ math::Matrix FeatureTransform::apply(const math::Matrix& counts) const {
   return out;
 }
 
+void FeatureTransform::apply_in_place(math::Matrix& counts) const {
+  if (counts.cols() != dim())
+    throw std::invalid_argument("FeatureTransform: dimension mismatch");
+  for (std::size_t r = 0; r < counts.rows(); ++r)
+    counts.set_row(r, apply_row(counts.row(r)));
+}
+
 namespace {
 float scale_count(features::CountScaling scaling, float count) {
   const float c = std::max(count, 0.0f);

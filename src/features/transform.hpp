@@ -29,6 +29,10 @@ class FeatureTransform {
   /// Batch version: one row per sample.
   math::Matrix apply(const math::Matrix& counts) const;
 
+  /// Batch version in place: each count row becomes its feature row
+  /// (counts.cols() must equal dim()).
+  void apply_in_place(math::Matrix& counts) const;
+
   virtual std::size_t dim() const noexcept = 0;
   virtual std::string name() const = 0;
   virtual std::unique_ptr<FeatureTransform> clone() const = 0;

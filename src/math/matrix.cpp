@@ -206,65 +206,8 @@ Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
-  require(a.cols() == b.rows(), "matmul: inner dimension mismatch");
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  c.resize(m, n);
-  c.fill(0.0f);
-  // i-k-j loop order: the inner loop streams both B and C rows, which is
-  // cache-friendly for row-major storage; OpenMP parallelizes over rows.
-#pragma omp parallel for schedule(static) if (m * n * k > 1u << 16)
-  for (std::size_t i = 0; i < m; ++i) {
-    float* ci = c.data() + i * n;
-    const float* ai = a.data() + i * k;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float aik = ai[kk];
-      if (aik == 0.0f) continue;  // feature vectors are sparse
-      const float* bk = b.data() + kk * n;
-      for (std::size_t j = 0; j < n; ++j) ci[j] += aik * bk[j];
-    }
-  }
-}
-
-void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c,
-                      bool accumulate) {
-  require(a.rows() == b.rows(), "matmul_at_b: row mismatch");
-  const std::size_t m = a.cols(), k = a.rows(), n = b.cols();
-  if (accumulate) {
-    require(c.rows() == m && c.cols() == n,
-            "matmul_at_b_into: accumulate shape mismatch");
-  } else {
-    c.resize(m, n);
-    c.fill(0.0f);
-  }
-#pragma omp parallel for schedule(static) if (m * n * k > 1u << 16)
-  for (std::size_t i = 0; i < m; ++i) {
-    float* ci = c.data() + i * n;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float aki = a(kk, i);
-      if (aki == 0.0f) continue;
-      const float* bk = b.data() + kk * n;
-      for (std::size_t j = 0; j < n; ++j) ci[j] += aki * bk[j];
-    }
-  }
-}
-
-void matmul_a_bt_into(const Matrix& a, const Matrix& b, Matrix& c) {
-  require(a.cols() == b.cols(), "matmul_a_bt: col mismatch");
-  const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-  c.resize(m, n);
-#pragma omp parallel for schedule(static) if (m * n * k > 1u << 16)
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* ai = a.data() + i * k;
-    float* ci = c.data() + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* bj = b.data() + j * k;
-      float s = 0.0f;
-      for (std::size_t kk = 0; kk < k; ++kk) s += ai[kk] * bj[kk];
-      ci[j] = s;
-    }
-  }
-}
+// matmul_into, matmul_at_b_into and matmul_a_bt_into live in
+// gemm_kernels.cpp with their per-ISA variants.
 
 void gather_rows_into(const Matrix& src, std::span<const std::size_t> indices,
                       Matrix& out) {

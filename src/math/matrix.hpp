@@ -143,6 +143,10 @@ Matrix operator-(Matrix lhs, const Matrix& rhs);
 Matrix operator*(Matrix lhs, float scalar);
 Matrix operator*(float scalar, Matrix rhs);
 
+// The three GEMMs below run SIMD kernels picked once per process from the
+// CPU's ISA (see gemm_kernels.hpp). A row's result is bit-identical
+// whatever batch it is computed in and whatever the OpenMP thread count.
+
 /// C = A * B. Blocked, OpenMP-parallel when available.
 Matrix matmul(const Matrix& a, const Matrix& b);
 
@@ -167,6 +171,10 @@ void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c,
 
 /// C = A * B^T.
 void matmul_a_bt_into(const Matrix& a, const Matrix& b, Matrix& c);
+
+/// The GEMM kernel variant this process runs: "avx512", "avx2" or
+/// "portable".
+const char* kernel_isa() noexcept;
 
 /// Gathers the given rows of `src` into `out` (resized, overwritten).
 /// `out` must not alias `src`.

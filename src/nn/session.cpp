@@ -1,5 +1,6 @@
 #include "nn/session.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "math/linalg.hpp"
@@ -24,7 +25,8 @@ InferenceSession::InferenceSession(const Network& net, std::size_t max_batch)
       const Layer& layer = net.layer(i);
       ws_[i].pre_activation.reserve(max_batch, layer.output_dim());
       ws_[i].output.reserve(max_batch, layer.output_dim());
-      ws_[i].mask.reserve(max_batch, layer.output_dim());
+      if (dynamic_cast<const DropoutLayer*>(&layer) != nullptr)
+        ws_[i].mask.reserve(max_batch, layer.output_dim());
       ws_[i].grad_input.reserve(max_batch, layer.input_dim());
     }
     for (auto& g : class_grads_) g.reserve(max_batch, net.input_dim());
@@ -135,6 +137,22 @@ std::vector<ParamRef> InferenceSession::bind_params(Network& net) {
 void InferenceSession::zero_param_grads() {
   for (auto& ws : ws_)
     for (auto& g : ws.param_grads) g.fill(0.0f);
+}
+
+std::vector<int> predict_in_chunks(const Network& net, const math::Matrix& x) {
+  const std::size_t n = x.rows(), cols = x.cols();
+  std::vector<int> labels(n);
+  if (n == 0) return labels;
+  InferenceSession session(net, std::min(n, kPredictChunkRows));
+  math::Matrix chunk;
+  for (std::size_t start = 0; start < n; start += kPredictChunkRows) {
+    const std::size_t end = std::min(start + kPredictChunkRows, n);
+    chunk.resize(end - start, cols);
+    std::copy(x.data() + start * cols, x.data() + end * cols, chunk.data());
+    const std::span<const int> predicted = session.predict(chunk);
+    std::copy(predicted.begin(), predicted.end(), labels.begin() + start);
+  }
+  return labels;
 }
 
 }  // namespace mev::nn

@@ -92,4 +92,11 @@ class InferenceSession {
   std::vector<int> labels_;          // predict buffer
 };
 
+/// Argmax class of every row of `x`, scored in chunks of at most
+/// kPredictChunkRows rows through one session of that size, so the
+/// transient buffers stay bounded however many rows `x` has. Rows are
+/// scored independently, so the result equals one whole-batch predict.
+inline constexpr std::size_t kPredictChunkRows = 64;
+std::vector<int> predict_in_chunks(const Network& net, const math::Matrix& x);
+
 }  // namespace mev::nn

@@ -184,8 +184,7 @@ double accuracy(const Network& net, const math::Matrix& x,
   if (labels.size() != x.rows())
     throw std::invalid_argument("accuracy: label count mismatch");
   if (labels.empty()) return 0.0;
-  InferenceSession session(net, x.rows());
-  const auto predictions = session.predict(x);
+  const std::vector<int> predictions = predict_in_chunks(net, x);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < labels.size(); ++i)
     if (predictions[i] == labels[i]) ++correct;

@@ -7,6 +7,8 @@
 #include <ctime>
 #include <thread>
 
+#include "math/matrix.hpp"
+
 namespace mev::obs {
 
 namespace {
@@ -51,7 +53,9 @@ std::string build_info_json() {
   out += json_escape(build_flags());
   out += "\",\"hardware_concurrency\":";
   out += std::to_string(std::max(1u, std::thread::hardware_concurrency()));
-  out += ",\"pid\":";
+  out += ",\"kernel_isa\":\"";
+  out += math::kernel_isa();
+  out += "\",\"pid\":";
   out += std::to_string(process_pid());
   out += ",\"start_time_unix\":";
   out += std::to_string(process_start_unix_s());

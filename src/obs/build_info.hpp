@@ -1,7 +1,8 @@
 // Build + process provenance shared by the admin plane (/statusz, /varz)
 // and the bench meta blocks: which commit and build flags produced this
-// binary, on how many cores, since when. Always compiled — provenance is
-// not telemetry and must survive MEV_ENABLE_OBS=OFF.
+// binary, on how many cores, with which GEMM kernel, since when. Always
+// compiled — provenance is not telemetry and must survive
+// MEV_ENABLE_OBS=OFF.
 //
 // MEV_GIT_SHA / MEV_BUILD_FLAGS are configure-time compile definitions
 // from the top-level CMakeLists.txt (hoisted out of bench/ so every
@@ -32,8 +33,9 @@ std::uint64_t process_start_unix_s() noexcept;
 /// Whole seconds since process start (steady clock, jump-proof).
 std::uint64_t process_uptime_s() noexcept;
 
-/// The /statusz body: git SHA, build flags, hardware concurrency, pid,
-/// start time, and uptime as one JSON object (newline-terminated).
+/// The /statusz body: git SHA, build flags, hardware concurrency, the GEMM
+/// kernel variant (math::kernel_isa()), pid, start time, and uptime as one
+/// JSON object (newline-terminated).
 std::string build_info_json();
 
 }  // namespace mev::obs

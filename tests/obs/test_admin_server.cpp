@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "math/matrix.hpp"
 #include "obs/admin_server.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/http.hpp"
@@ -425,6 +426,18 @@ TEST(AdminServer, StatuszServesBuildProvenance) {
   EXPECT_NE(response.find("\"pid\":"), std::string::npos);
   EXPECT_NE(response.find("\"start_time_unix\":"), std::string::npos);
   EXPECT_NE(response.find("\"uptime_seconds\":"), std::string::npos);
+}
+
+TEST(AdminServer, StatuszNamesTheGemmKernel) {
+  // A number from this process says which kernel variant produced it.
+  AdminFixture f;
+  AdminServer server = f.make();
+  const std::string response = server.handle(make_request("GET", "/statusz"));
+  const std::string field =
+      std::string("\"kernel_isa\":\"") + mev::math::kernel_isa() + "\"";
+  EXPECT_NE(response.find(field), std::string::npos) << response;
+  const std::string isa = mev::math::kernel_isa();
+  EXPECT_TRUE(isa == "portable" || isa == "avx2" || isa == "avx512") << isa;
 }
 
 TEST(AdminServer, VarzIncludesTheProcessBlock) {
