@@ -88,6 +88,25 @@ void BM_SessionForward(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionForward)->Arg(1)->Arg(64)->Arg(256);
 
+// The fast-scale target detector's shape (the 64-row grey-box query): its
+// 64->2 logit layer is the narrow output the dot-product path serves.
+void BM_TargetForward(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  nn::MlpConfig cfg;
+  cfg.dims = {491, 128, 64, 2};
+  cfg.seed = 3;
+  const nn::Network net = nn::make_mlp(cfg);
+  nn::InferenceSession session(net, batch);
+  const math::Matrix x = random_matrix(batch, 491, 4);
+  session.forward(x);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(session.forward(x));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          batch);
+}
+BENCHMARK(BM_TargetForward)->Arg(1)->Arg(64);
+
 void BM_SessionBackward(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   nn::MlpConfig cfg;

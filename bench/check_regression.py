@@ -60,13 +60,14 @@ import json
 import sys
 
 # Micro benchmarks gating the check (prefix match on "name/arg" keys):
-# the GEMM kernel and the session forward, backward and training step built
-# on it are the hot path of every attack loop, and the span/counter costs
-# are the observability overhead contract. Everything else in
-# BENCH_micro.json is informational.
+# the GEMM kernel and the session forward (generic and target-shaped),
+# backward and training step built on it are the hot path of every attack
+# loop, and the span/counter costs are the observability overhead
+# contract. Everything else in BENCH_micro.json is informational.
 PINNED_MICRO_PREFIXES = (
     "BM_Matmul",
     "BM_SessionForward",
+    "BM_TargetForward",
     "BM_SessionBackward",
     "BM_NetworkTrainStep",
     "BM_ObsSpanEnabled",
@@ -81,6 +82,7 @@ PINNED_MICRO_PREFIXES = (
 KERNEL_MICRO_PREFIXES = (
     "BM_Matmul",
     "BM_SessionForward",
+    "BM_TargetForward",
     "BM_SessionBackward",
     "BM_NetworkTrainStep",
 )

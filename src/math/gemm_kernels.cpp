@@ -47,7 +47,7 @@ void portable_a_bt(const ABtProblem& p, std::size_t i0, std::size_t i1) {
   }
 }
 
-constexpr KernelSet kPortable{"portable", portable_ab, portable_a_bt};
+constexpr KernelSet kPortable{"portable", 1, portable_ab, portable_a_bt};
 
 #if MEV_GEMM_X86
 
@@ -125,8 +125,10 @@ struct Simd {
 #undef MEV_SIMD
 }  // namespace avx512
 
-constexpr KernelSet kAvx2{"avx2", avx2::ab_rows, avx2::a_bt_rows};
-constexpr KernelSet kAvx512{"avx512", avx512::ab_rows, avx512::a_bt_rows};
+constexpr KernelSet kAvx2{"avx2", avx2::Simd::kLanes, avx2::ab_rows,
+                          avx2::a_bt_rows};
+constexpr KernelSet kAvx512{"avx512", avx512::Simd::kLanes, avx512::ab_rows,
+                            avx512::a_bt_rows};
 
 bool cpu_has_avx2() {
   __builtin_cpu_init();
@@ -153,15 +155,22 @@ constexpr std::size_t kParallelMacs = std::size_t{1} << 16;
 constexpr std::size_t kRowsPerTask = 4;
 
 /// Runs `kernel` over rows [0, m) in row blocks, in parallel when the
-/// product is large enough. Each output row is computed by exactly one
-/// call, and its value does not depend on which.
+/// product is large enough, each block followed by `epilogue` on the same
+/// thread. Each output row is computed by exactly one call, and its value
+/// does not depend on which.
 template <typename Problem>
 void run_rows(void (*kernel)(const Problem&, std::size_t, std::size_t),
-              const Problem& p, std::size_t m, std::size_t macs) {
+              const Problem& p, std::size_t m, std::size_t macs,
+              const RowEpilogue* epilogue = nullptr) {
   const std::size_t tasks = (m + kRowsPerTask - 1) / kRowsPerTask;
 #pragma omp parallel for schedule(static) if (tasks > 1 && macs > kParallelMacs)
-  for (std::size_t t = 0; t < tasks; ++t)
-    kernel(p, t * kRowsPerTask, std::min(m, (t + 1) * kRowsPerTask));
+  for (std::size_t t = 0; t < tasks; ++t) {
+    const std::size_t i0 = t * kRowsPerTask;
+    const std::size_t i1 = std::min(m, i0 + kRowsPerTask);
+    kernel(p, i0, i1);
+    if (epilogue != nullptr)
+      epilogue->apply(epilogue->ctx, p.c + i0 * p.n, i1 - i0);
+  }
 }
 
 }  // namespace
@@ -181,12 +190,24 @@ std::vector<const KernelSet*> supported() {
 }
 
 void matmul_into(const KernelSet& ks, const Matrix& a, const Matrix& b,
-                 Matrix& c) {
+                 Matrix& c, const RowEpilogue* epilogue) {
   require(a.cols() == b.rows(), "matmul: inner dimension mismatch");
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   c.resize(m, n);
+  if (n < ks.lanes) {
+    // Narrow output: C = A * (B^T)^T through the dot-product kernel, which
+    // fills every lane; the ab tile would use n of them.
+    thread_local std::vector<float> bt;
+    bt.resize(n * k);
+    const float* src = b.data();
+    for (std::size_t kk = 0; kk < k; ++kk)
+      for (std::size_t j = 0; j < n; ++j) bt[j * k + kk] = src[kk * n + j];
+    const ABtProblem p{a.data(), bt.data(), c.data(), k, n};
+    run_rows(ks.a_bt, p, m, m * n * k, epilogue);
+    return;
+  }
   const AbProblem p{a.data(), k, 1, b.data(), c.data(), k, n, false};
-  run_rows(ks.ab, p, m, m * n * k);
+  run_rows(ks.ab, p, m, m * n * k, epilogue);
 }
 
 void matmul_at_b_into(const KernelSet& ks, const Matrix& a, const Matrix& b,
@@ -217,8 +238,9 @@ namespace mev::math {
 
 const char* kernel_isa() noexcept { return gemm::active().isa; }
 
-void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
-  gemm::matmul_into(gemm::active(), a, b, c);
+void matmul_into(const Matrix& a, const Matrix& b, Matrix& c,
+                 const RowEpilogue* epilogue) {
+  gemm::matmul_into(gemm::active(), a, b, c, epilogue);
 }
 
 void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c,

@@ -17,6 +17,12 @@
 //  * Determinism: results do not depend on the OpenMP thread count.
 // Different variants may differ in the last bits (FMA, lane-wise sums);
 // tests hold them to a stated tolerance against a double reference.
+//
+// Narrow outputs: a SIMD matmul_into with n below the variant's lane count
+// (the 2-class logit layer) would fill only n lanes of each vector, so it
+// transposes B into a small buffer and runs the a_bt kernel instead: each
+// element becomes a lane-wise dot product over k. That keeps both contracts
+// but is not bit-identical to the ab path of the same variant.
 #pragma once
 
 #include <cstddef>
@@ -54,7 +60,8 @@ using ABtKernel = void (*)(const ABtProblem&, std::size_t i0, std::size_t i1);
 
 /// One ISA level's kernels.
 struct KernelSet {
-  const char* isa;  // "portable", "avx2" or "avx512"
+  const char* isa;    // "portable", "avx2" or "avx512"
+  std::size_t lanes;  // floats per vector; 1 for portable
   AbKernel ab;
   ABtKernel a_bt;
 };
@@ -68,7 +75,7 @@ std::vector<const KernelSet*> supported();
 // The Matrix-level entry points with an explicit variant; the functions of
 // the same name in matrix.hpp pass active(). Shape rules as there.
 void matmul_into(const KernelSet& ks, const Matrix& a, const Matrix& b,
-                 Matrix& c);
+                 Matrix& c, const RowEpilogue* epilogue = nullptr);
 void matmul_at_b_into(const KernelSet& ks, const Matrix& a, const Matrix& b,
                       Matrix& c, bool accumulate = false);
 void matmul_a_bt_into(const KernelSet& ks, const Matrix& a, const Matrix& b,

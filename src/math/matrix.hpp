@@ -160,8 +160,18 @@ Matrix matmul_a_bt(const Matrix& a, const Matrix& b);
 // overwritten, so a warm workspace makes them allocation-free. `c` must
 // not alias `a` or `b`.
 
-/// C = A * B.
-void matmul_into(const Matrix& a, const Matrix& b, Matrix& c);
+/// Row work that matmul_into runs on each block of finished rows of C, on
+/// the thread that computed them while they are still in its cache (a
+/// dense layer's bias and activation): apply(ctx, rows, count) gets
+/// `count` consecutive rows of C starting at `rows`.
+struct RowEpilogue {
+  void (*apply)(const void* ctx, float* rows, std::size_t count);
+  const void* ctx;
+};
+
+/// C = A * B, then `epilogue` (when given) over every row of C exactly once.
+void matmul_into(const Matrix& a, const Matrix& b, Matrix& c,
+                 const RowEpilogue* epilogue = nullptr);
 
 /// C = A^T * B (or C += A^T * B when `accumulate`; shapes must already
 /// match in that case). The accumulate form is the gradient-accumulation

@@ -18,16 +18,41 @@ inline void elementwise(math::Matrix& m, F&& f) {
   for (std::size_t i = 0; i < n; ++i) p[i] = f(p[i]);
 }
 
-/// grad[i] = f(grad[i], ref[i]) — derivative kernels keyed on the cached
-/// forward values (pre-activation z or activation output a).
+/// rows[r * n + j] = F{}(rows[r * n + j] + bias[j]) for a 1 x n bias
+/// matrix: the bias add and the activation in one pass over a block of a
+/// layer's output rows (a math::RowEpilogue).
 template <typename F>
-inline void elementwise_grad(math::Matrix& grad, const math::Matrix& ref,
+void bias_activation_rows(const void* bias, float* rows, std::size_t count) {
+  constexpr F f{};
+  const auto& bias_row = *static_cast<const math::Matrix*>(bias);
+  const float* b = bias_row.data();
+  const std::size_t cols = bias_row.cols();
+  for (std::size_t r = 0; r < count; ++r) {
+    float* p = rows + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) p[c] = f(p[c] + b[c]);
+  }
+}
+
+/// grad[i] = f(grad[i], a[i]) — derivative kernels keyed on the cached
+/// activation output.
+template <typename F>
+inline void elementwise_grad(math::Matrix& grad, const math::Matrix& a,
                              F&& f) {
   float* g = grad.data();
-  const float* r = ref.data();
+  const float* r = a.data();
   const std::size_t n = grad.size();
   for (std::size_t i = 0; i < n; ++i) g[i] = f(g[i], r[i]);
 }
+
+constexpr auto kIdentityFn = [](float x) { return x; };
+constexpr auto kReluFn = [](float x) { return x > 0.0f ? x : 0.0f; };
+constexpr auto kSigmoidFn = [](float x) {
+  return 1.0f / (1.0f + std::exp(-x));
+};
+constexpr auto kTanhFn = [](float x) { return std::tanh(x); };
+constexpr auto kLeakyReluFn = [](float x) {
+  return x > 0.0f ? x : 0.01f * x;
+};
 
 }  // namespace
 
@@ -36,31 +61,48 @@ void apply_activation(Activation act, math::Matrix& z) {
     case Activation::kIdentity:
       return;
     case Activation::kRelu:
-      elementwise(z, [](float x) { return x > 0.0f ? x : 0.0f; });
+      elementwise(z, kReluFn);
       return;
     case Activation::kSigmoid:
-      elementwise(z, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
+      elementwise(z, kSigmoidFn);
       return;
     case Activation::kTanh:
-      elementwise(z, [](float x) { return std::tanh(x); });
+      elementwise(z, kTanhFn);
       return;
     case Activation::kLeakyRelu:
-      elementwise(z, [](float x) { return x > 0.0f ? x : 0.01f * x; });
+      elementwise(z, kLeakyReluFn);
       return;
   }
   throw std::invalid_argument("apply_activation: unknown activation");
 }
 
-void apply_activation_grad(Activation act, const math::Matrix& z,
-                           const math::Matrix& a, math::Matrix& grad) {
-  if (!grad.same_shape(z) || !grad.same_shape(a))
+math::RowEpilogue bias_activation_epilogue(Activation act,
+                                           const math::Matrix& bias) {
+  switch (act) {
+    case Activation::kIdentity:
+      return {bias_activation_rows<decltype(kIdentityFn)>, &bias};
+    case Activation::kRelu:
+      return {bias_activation_rows<decltype(kReluFn)>, &bias};
+    case Activation::kSigmoid:
+      return {bias_activation_rows<decltype(kSigmoidFn)>, &bias};
+    case Activation::kTanh:
+      return {bias_activation_rows<decltype(kTanhFn)>, &bias};
+    case Activation::kLeakyRelu:
+      return {bias_activation_rows<decltype(kLeakyReluFn)>, &bias};
+  }
+  throw std::invalid_argument("bias_activation_epilogue: unknown activation");
+}
+
+void apply_activation_grad(Activation act, const math::Matrix& a,
+                           math::Matrix& grad) {
+  if (!grad.same_shape(a))
     throw std::invalid_argument("apply_activation_grad: shape mismatch");
   switch (act) {
     case Activation::kIdentity:
       return;
     case Activation::kRelu:
-      elementwise_grad(grad, z,
-                       [](float g, float zi) { return zi <= 0.0f ? 0.0f : g; });
+      elementwise_grad(grad, a,
+                       [](float g, float ai) { return ai <= 0.0f ? 0.0f : g; });
       return;
     case Activation::kSigmoid:
       elementwise_grad(grad, a,
@@ -71,8 +113,8 @@ void apply_activation_grad(Activation act, const math::Matrix& z,
                        [](float g, float ai) { return g * (1.0f - ai * ai); });
       return;
     case Activation::kLeakyRelu:
-      elementwise_grad(grad, z, [](float g, float zi) {
-        return zi <= 0.0f ? 0.01f * g : g;
+      elementwise_grad(grad, a, [](float g, float ai) {
+        return ai <= 0.0f ? 0.01f * g : g;
       });
       return;
   }

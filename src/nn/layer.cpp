@@ -31,10 +31,12 @@ void DenseLayer::forward(const math::Matrix& x, LayerWorkspace& ws,
                          bool /*training*/) const {
   if (x.cols() != weights_.rows())
     throw std::invalid_argument("DenseLayer::forward: dimension mismatch");
-  math::matmul_into(x, weights_, ws.pre_activation);
-  math::add_row_broadcast(ws.pre_activation, bias_.row(0));
-  ws.output = ws.pre_activation;
-  apply_activation(activation_, ws.output);
+  // One buffer: the GEMM writes x*W into the output, and each finished row
+  // block gets its bias and activation in place on the thread that
+  // computed it.
+  const math::RowEpilogue epilogue =
+      bias_activation_epilogue(activation_, bias_);
+  math::matmul_into(x, weights_, ws.output, &epilogue);
 }
 
 void DenseLayer::backward(math::Matrix& grad_output, const math::Matrix& input,
@@ -43,7 +45,7 @@ void DenseLayer::backward(math::Matrix& grad_output, const math::Matrix& input,
   if (!grad_output.same_shape(ws.output))
     throw std::invalid_argument("DenseLayer::backward: shape mismatch");
   // grad_output becomes dLoss/dPreActivation in place.
-  apply_activation_grad(activation_, ws.pre_activation, ws.output, grad_output);
+  apply_activation_grad(activation_, ws.output, grad_output);
 
   if (accumulate_param_grads) {
     math::matmul_at_b_into(input, grad_output, ws.param_grads[0],

@@ -1,7 +1,7 @@
 // Layer abstraction: dense (affine + activation) and dropout layers.
 //
 // Layers are READ-ONLY during forward/backward: every cache the backward
-// pass needs (pre-activations, outputs, dropout masks) and every gradient
+// pass needs (layer outputs, dropout masks) and every gradient
 // accumulator lives in a LayerWorkspace owned by an InferenceSession, not
 // in the layer. One Network can therefore be shared across threads, each
 // thread owning its own session (see nn/session.hpp). The single
@@ -28,12 +28,13 @@ struct ParamRef {
 
 /// Per-layer scratch buffers, owned by an InferenceSession (one per layer
 /// per session). All matrices are resized capacity-preservingly per batch,
-/// so the steady state allocates nothing.
+/// so the steady state allocates nothing. A dense layer keeps no
+/// pre-activation: its backward pass keys the activation derivative on
+/// `output` alone (see apply_activation_grad).
 struct LayerWorkspace {
-  math::Matrix pre_activation;  // dense: z = x*W + b (batch x out)
-  math::Matrix output;          // layer output (batch x out)
-  math::Matrix mask;            // dropout keep mask (training only)
-  math::Matrix grad_input;      // backward result dLoss/dInput (batch x in)
+  math::Matrix output;      // layer output (batch x out)
+  math::Matrix mask;        // dropout keep mask (training only)
+  math::Matrix grad_input;  // backward result dLoss/dInput (batch x in)
   /// Parameter-gradient accumulators, one per parameter tensor in the
   /// order of Layer::param_values(). Sized by Layer::init_workspace.
   std::vector<math::Matrix> param_grads;
@@ -79,6 +80,8 @@ class Layer {
 };
 
 /// Fully connected layer: y = act(x * W + b), W is in x out, b is 1 x out.
+/// Forward runs the GEMM straight into ws.output, then adds the bias and
+/// applies the activation there in one pass.
 class DenseLayer final : public Layer {
  public:
   /// Initializes weights with He (relu-family) or Glorot (otherwise)

@@ -23,7 +23,6 @@ InferenceSession::InferenceSession(const Network& net, std::size_t max_batch)
     labels_.reserve(max_batch);
     for (std::size_t i = 0; i < ws_.size(); ++i) {
       const Layer& layer = net.layer(i);
-      ws_[i].pre_activation.reserve(max_batch, layer.output_dim());
       ws_[i].output.reserve(max_batch, layer.output_dim());
       if (dynamic_cast<const DropoutLayer*>(&layer) != nullptr)
         ws_[i].mask.reserve(max_batch, layer.output_dim());

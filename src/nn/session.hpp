@@ -1,8 +1,9 @@
 // InferenceSession: a per-thread workspace/tape for evaluating one Network.
 //
-// The session owns every buffer a forward/backward sweep needs — layer
-// activations, pre-activations, dropout masks, the backward gradient
-// chain, and parameter-gradient accumulators — sized once per
+// The session owns every buffer a forward/backward sweep needs — a copy
+// of the input batch, one output per layer (a dense layer keeps no
+// separate pre-activation), dropout masks, the backward gradient chain,
+// and parameter-gradient accumulators — sized once per
 // (network, max_batch) and reused across calls. After warm-up the steady
 // state performs ZERO heap allocations: all buffers are resized
 // capacity-preservingly per batch.
@@ -85,7 +86,9 @@ class InferenceSession {
 
   const Network* net_;
   std::vector<LayerWorkspace> ws_;   // one per layer
-  math::Matrix input_;               // copy of the forward batch
+  math::Matrix input_;  // copy of the forward batch: a later backward
+                        // reads it for layer 0's parameter gradients even
+                        // when the caller's x is gone
   math::Matrix probs_;               // softmax buffer
   math::Matrix grad_logits_;         // backward seed (clobbered per pass)
   std::vector<math::Matrix> class_grads_;  // input_gradients_all results

@@ -196,7 +196,7 @@ void CompletionArena::abandon(CompletionTicket ticket) noexcept {
   std::uint64_t expected = pack(ticket.generation, kPending);
   if (s.state.compare_exchange_strong(expected,
                                       pack(ticket.generation, kAbandoned),
-                                      std::memory_order_relaxed,
+                                      std::memory_order_acquire,
                                       std::memory_order_acquire))
     return;  // still pending: the completer will see kAbandoned and recycle
   if (expected == pack(ticket.generation, kDone)) {

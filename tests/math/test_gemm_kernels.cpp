@@ -178,7 +178,107 @@ TEST(GemmKernels, RowResultsAreBitIdenticalAloneAndInABatch) {
   }
 }
 
+TEST(GemmKernels, MatmulEpilogueVisitsEveryRowOnce) {
+  // Adds 1 to each element it is handed: a row visited twice, or missed,
+  // shows. 65 x 300 x 37 is split across threads; n = 3 is narrow.
+  const auto add_one = [](const void* cols, float* rows, std::size_t count) {
+    const std::size_t n = *static_cast<const std::size_t*>(cols);
+    for (std::size_t i = 0; i < count * n; ++i) rows[i] += 1.0f;
+  };
+  for (const gemm::KernelSet* ks : gemm::supported())
+    for (const std::size_t n : {37, 3}) {
+      const Matrix a = random_matrix(65, 300, 22);
+      const Matrix b = random_matrix(300, n, 23);
+      Matrix plain, with;
+      gemm::matmul_into(*ks, a, b, plain);
+      const RowEpilogue epilogue{add_one, &n};
+      gemm::matmul_into(*ks, a, b, with, &epilogue);
+      for (std::size_t i = 0; i < plain.size(); ++i) plain.data()[i] += 1.0f;
+      EXPECT_EQ(with, plain) << ks->isa << " n=" << n;
+    }
+}
+
+/// Narrow-output widths for `ks`: 1, 2, 3 and, for a SIMD variant, one
+/// below its lane count (the widest n that takes the dot-product path).
+std::vector<std::size_t> narrow_widths(const gemm::KernelSet& ks) {
+  std::vector<std::size_t> ns{1, 2, 3};
+  if (ks.lanes > 4) ns.push_back(ks.lanes - 1);
+  return ns;
+}
+
+// k off every vector width (8, 16), below, between and above them.
+const std::vector<std::size_t> kNarrowDepths = {1, 13, 67};
+
+TEST(GemmKernels, NarrowMatmulMatchesDoubleReference) {
+  for (const gemm::KernelSet* ks : gemm::supported())
+    for (const std::size_t n : narrow_widths(*ks))
+      for (const std::size_t m : {1, 5, 64})
+        for (const std::size_t k : kNarrowDepths) {
+          const Shape s{m, k, n};
+          const Matrix a = random_matrix(m, k, 14, /*zero_row=*/true);
+          const Matrix b = random_matrix(k, n, 15);
+          Matrix ref, bound, c;
+          reference(
+              m, k, n, [&](std::size_t i, std::size_t kk) { return a(i, kk); },
+              [&](std::size_t kk, std::size_t j) { return b(kk, j); }, ref,
+              bound);
+          gemm::matmul_into(*ks, a, b, c);
+          expect_matches(c, ref, bound, "narrow matmul " + label(*ks, s));
+          if (m > 1) {
+            for (std::size_t j = 0; j < n; ++j)
+              EXPECT_EQ(c(1, j), 0.0f) << "zero row, " << label(*ks, s);
+          }
+        }
+}
+
+TEST(GemmKernels, NarrowMatmulIsTheDotProductKernelInSimdVariants) {
+  for (const gemm::KernelSet* ks : gemm::supported()) {
+    if (ks->lanes == 1) continue;  // portable keeps its row loops
+    for (const std::size_t n : narrow_widths(*ks)) {
+      const Matrix a = random_matrix(5, 67, 16);
+      const Matrix b = random_matrix(67, n, 17);
+      Matrix c, dot;
+      gemm::matmul_into(*ks, a, b, c);
+      gemm::matmul_a_bt_into(*ks, a, b.transposed(), dot);
+      EXPECT_EQ(c, dot) << ks->isa << " n=" << n;
+    }
+  }
+}
+
+TEST(GemmKernels, NarrowMatmulRowsAreBitIdenticalAloneAndInABatch) {
+  for (const gemm::KernelSet* ks : gemm::supported())
+    for (const std::size_t n : narrow_widths(*ks)) {
+      const Matrix a = random_matrix(64, 67, 18);
+      const Matrix b = random_matrix(67, n, 19);
+      Matrix batch, one;
+      gemm::matmul_into(*ks, a, b, batch);
+      for (std::size_t r = 0; r < a.rows(); ++r) {
+        gemm::matmul_into(*ks, a.slice_rows(r, r + 1), b, one);
+        EXPECT_EQ(one, batch.slice_rows(r, r + 1))
+            << ks->isa << " n=" << n << " row " << r;
+      }
+    }
+}
+
 #ifdef _OPENMP
+TEST(GemmKernels, NarrowMatmulDoesNotDependOnTheThreadCount) {
+  const int threads = omp_get_max_threads();
+  for (const gemm::KernelSet* ks : gemm::supported())
+    for (const std::size_t n : narrow_widths(*ks)) {
+      // 64 x 1031 x n is above the 2^16 multiply-adds that go parallel
+      // for every n >= 1.
+      const Matrix a = random_matrix(64, 1031, 20);
+      const Matrix b = random_matrix(1031, n, 21);
+      Matrix c[2];
+      for (int pass = 0; pass < 2; ++pass) {
+        omp_set_num_threads(pass == 0 ? 1 : 3);
+        gemm::matmul_into(*ks, a, b, c[pass]);
+      }
+      EXPECT_EQ(c[0], c[1]) << ks->isa << " n=" << n;
+    }
+  omp_set_num_threads(threads);
+}
+
 TEST(GemmKernels, ResultsDoNotDependOnTheThreadCount) {
   const int threads = omp_get_max_threads();
   for (const gemm::KernelSet* ks : gemm::supported()) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <vector>
+
+#include "math/matrix.hpp"
 
 namespace mev::nn {
 namespace {
@@ -162,6 +167,82 @@ TEST(DenseLayer, SkippingParamGradsLeavesAccumulatorsZero) {
   // The input gradient is still produced.
   EXPECT_EQ(ws.grad_input.rows(), 1u);
   EXPECT_EQ(ws.grad_input.cols(), 3u);
+}
+
+TEST(DenseLayer, FusedBiasActivationMatchesSeparatePasses) {
+  // The fused pass must give the bits of GEMM, bias add, then activation.
+  // 70 outputs take every variant's ab path, 65 x 37 x 70 multiply-adds
+  // split it across OpenMP threads, and 65 rows end in a partial row
+  // block; 2 outputs take the dot-product path for narrow layers.
+  for (const std::size_t out : {70, 2})
+    for (Activation act :
+         {Activation::kIdentity, Activation::kRelu, Activation::kSigmoid,
+          Activation::kTanh, Activation::kLeakyRelu}) {
+      math::Rng rng(11);
+      DenseLayer layer(37, out, act, rng);
+      for (float& b : layer.mutable_bias().row(0))
+        b = static_cast<float>(rng.normal());
+      math::Matrix x(65, 37);
+      for (std::size_t i = 0; i < x.size(); ++i)
+        x.data()[i] = static_cast<float>(rng.normal());
+      math::Matrix expected;
+      math::matmul_into(x, layer.weights(), expected);
+      math::add_row_broadcast(expected, layer.bias().row(0));
+      apply_activation(act, expected);
+      EXPECT_EQ(forward_of(layer, x), expected)
+          << to_string(act) << " out=" << out;
+    }
+}
+
+TEST(DenseLayer, ReluFamilyGradientFromOutputEqualsZKeyedRule) {
+  // The backward pass keys the kink test on the output a instead of z:
+  // ReLU and leaky-ReLU keep z's sign, so "a <= 0" must agree with
+  // "z <= 0" on zeros of both signs, negatives, denormals and a leaky
+  // value whose 0.01 * z underflows to -0.0.
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> zs = {0.0f,  -0.0f, -1.0f,  -1e-3f, -tiny,
+                                 -1e-44f, tiny, 1e-30f, 0.5f,  3.0f};
+  const std::size_t n = zs.size();
+  {
+    math::Matrix a(1, n);
+    for (std::size_t j = 0; j < n; ++j) a(0, j) = zs[j];
+    apply_activation(Activation::kLeakyRelu, a);
+    ASSERT_TRUE(a(0, 5) == 0.0f && std::signbit(a(0, 5)))
+        << "0.01 * -1e-44 should underflow to -0.0";
+  }
+  for (Activation act : {Activation::kRelu, Activation::kLeakyRelu}) {
+    const float below = act == Activation::kRelu ? 0.0f : 0.01f;
+    math::Matrix upstream(1, n);
+    for (std::size_t j = 0; j < n; ++j)
+      upstream(0, j) = static_cast<float>(j + 1) * (j % 2 ? -1.0f : 1.0f);
+    std::vector<float> expected(n);
+    for (std::size_t j = 0; j < n; ++j)
+      expected[j] = zs[j] <= 0.0f ? below * upstream(0, j) : upstream(0, j);
+
+    // Directly on the cached output.
+    math::Matrix a(1, n), grad = upstream;
+    for (std::size_t j = 0; j < n; ++j) a(0, j) = zs[j];
+    apply_activation(act, a);
+    apply_activation_grad(act, a, grad);
+    for (std::size_t j = 0; j < n; ++j)
+      EXPECT_EQ(grad(0, j), expected[j]) << to_string(act) << " z=" << zs[j];
+
+    // Through a layer: W = I and b = 0 make z = x, and W^T = I hands the
+    // activation gradient to the input unchanged.
+    math::Matrix w(n, n);
+    for (std::size_t j = 0; j < n; ++j) w(j, j) = 1.0f;
+    DenseLayer layer(std::move(w), math::Matrix(1, n), act);
+    math::Matrix x(1, n);
+    for (std::size_t j = 0; j < n; ++j) x(0, j) = zs[j];
+    LayerWorkspace ws;
+    layer.init_workspace(ws);
+    layer.forward(x, ws, false);
+    grad = upstream;
+    layer.backward(grad, x, ws, /*accumulate_param_grads=*/false);
+    for (std::size_t j = 0; j < n; ++j)
+      EXPECT_EQ(ws.grad_input(0, j), expected[j])
+          << to_string(act) << " layer, z=" << zs[j];
+  }
 }
 
 TEST(DenseLayer, CloneIsDeepCopy) {
